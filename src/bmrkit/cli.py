@@ -166,7 +166,8 @@ def cmd_process(input_path: str, cfg: PipelineConfig) -> int:
         doc, record, refs=refs, weights=cfg.weights, processing_seconds=total_seconds
     )
 
-    _write_json(cfg.out, json.loads(record_json))
+    # record_json already has _write_json's format; write it without a re-parse.
+    Path(cfg.out).write_text(record_json + "\n", encoding="utf-8")
     _write_json(cfg.report_out, report.to_json())
     _write_json(cfg.metrics_out, metrics.to_json())
 

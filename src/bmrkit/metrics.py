@@ -7,14 +7,29 @@ metric denominators, so their rules are part of this module's contract and are
 deliberately spelled out in the docstrings below. All metrics return a
 percentage in [0, 100] and degrade to 100 when the source contains nothing to
 preserve.
+
+Scoring builds what several metrics read once per call, in two indexes. A
+``SourceIndex`` holds the source sentences, each with its boilerplate flag,
+canonical word set and conditional keywords; a ``RecordIndex`` holds the
+record's prose strings, one canonical word set per content unit, and the
+parent-link count that two structural metrics share. Each part is computed on
+first use. The 60% sentence-coverage rule runs on an inverted word-to-unit
+index with exact size and prefix filters: only units large enough and holding
+one of a sentence's rarest words are checked in full. Form fields and step
+names are matched by key lookup rather than by scanning the record.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from bisect import bisect_left
+import sys
+from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass, field as dc_field, fields as dc_fields
-from typing import Any, Iterator
+from functools import cached_property
+from itertools import repeat
+from typing import Any, Iterator, NamedTuple
 
 from .chunker import split_sentences
 from .ingest import SourceDocument, scan_image_markers
@@ -86,6 +101,9 @@ _CALC_HEADER_RE = re.compile(r"^\s*\*{0,2}Calculation\s*:?\*{0,2}\s*(.*)$", re.I
 _FORMULA_LINE_RE = re.compile(r"^\s*Formula\s*:\s*(.+)$", re.IGNORECASE)
 _VARIABLES_LINE_RE = re.compile(r"^\s*Variables\s*:\s*$", re.IGNORECASE)
 _HEADING_LINE_RE = re.compile(r"^\s*(#{1,6}\s+|\*\*Step\s+\d+)", re.IGNORECASE)
+_MD_HEADING_RE = re.compile(r"^\s*#{1,6}\s+")
+_ZERO_DECIMAL_RE = re.compile(r"\d+\.0+")
+_LINK_TARGET_RE = re.compile(r"steps\[(\d+)\](?:\.content\[(\d+)\])?")
 
 
 # --------------------------------------------------------------------------
@@ -100,18 +118,29 @@ def normalize_words(text: str) -> set[str]:
 
 def _tokenize(text: str) -> list[str]:
     guarded = _NUMBER_DOT_RE.sub("", text.lower())
-    return [m.group(0).replace("", ".") for m in _TOKEN_RE.finditer(guarded)]
+    return [t.replace("", ".") for t in _TOKEN_RE.findall(guarded)]
 
 
 def _canon_token(token: str) -> str:
     token = token.replace("×", "x")
-    if re.fullmatch(r"\d+\.0+", token):
+    if _ZERO_DECIMAL_RE.fullmatch(token):
         return token.split(".", 1)[0]
     return token
 
 
+def _canon_value(value: Any) -> str | None:
+    """Form value as field matching compares it; None stands for a blank."""
+    return None if value is None else _canon_token(str(value).lower())
+
+
 def _canon_words(text: str) -> set[str]:
     return {_canon_token(w) for w in normalize_words(text)}
+
+
+def _word_set(text: str) -> frozenset[str]:
+    """Canonical words with each string interned: a document's sentences and
+    record units repeat a small vocabulary, which is then held once."""
+    return frozenset(map(sys.intern, _canon_words(text)))
 
 
 def _text_key(text: str) -> str:
@@ -213,23 +242,180 @@ def _iter_contents(record: BmrRecord) -> Iterator[Content]:
 
 
 # --------------------------------------------------------------------------
+# Shared indexes
+
+
+class _Sentence(NamedTuple):
+    """A source sentence. Words and keywords are tuples rather than sets, so
+    a document's thousands of sentences take several times less memory."""
+
+    boilerplate: bool
+    words: tuple[str, ...]
+    keywords: tuple[str, ...]
+
+
+class _UnitMatcher:
+    """The 60% rule over a fixed list of unit word sets.
+
+    A sentence of n words is covered by a unit sharing at least 0.6·n of them,
+    that is at least t = ceil(0.6·n). Two exact filters pick the candidates,
+    as in the set-similarity joins of Chaudhuri et al. (ICDE 2006) and Bayardo
+    et al. (WWW 2007). Size: a unit of fewer than t words cannot cover.
+    Prefix: a unit holding none of some n − t + 1 of the sentence's words
+    shares at most t − 1, so only units holding one of the n − t + 1 rarest
+    words can cover. Each candidate then gets the full check.
+    """
+
+    def __init__(self, units: list[frozenset[str]]) -> None:
+        # Largest first: the units big enough for a sentence are then a
+        # leading run of the list and of every posting list.
+        self.units = sorted(units, key=len, reverse=True)
+        self.negative_sizes = [-len(unit) for unit in self.units]
+        self.postings: dict[str, list[int]] = {}
+        for i, unit in enumerate(self.units):
+            for word in unit:
+                self.postings.setdefault(word, []).append(i)
+
+    def covers(
+        self, words: tuple[str, ...], keywords: tuple[str, ...] | None = None
+    ) -> bool:
+        """Whether one unit holds 60% of ``words`` and, when ``keywords`` is
+        given, at least one keyword."""
+        needed = 0.6 * len(words)
+        shared = math.ceil(needed)
+        big = bisect_right(self.negative_sizes, -shared)
+
+        def units_with(word: str) -> list[int]:
+            ids = self.postings.get(word, [])
+            return ids[: bisect_left(ids, big)]
+
+        if shared == 0:
+            candidates = set(range(big))
+        else:
+            by_rarity = sorted(map(units_with, words), key=len)
+            candidates = set().union(*by_rarity[: len(words) - shared + 1])
+        if keywords is not None:
+            candidates &= set().union(*map(units_with, keywords))
+        # any(len(unit & words) >= needed for each candidate unit), iterated
+        # in C; it stops at the first unit that covers.
+        units = map(self.units.__getitem__, candidates)
+        overlaps = map(len, map(frozenset.intersection, units, repeat(words)))
+        return any(map(needed.__le__, overlaps))
+
+
+class SourceIndex:
+    """The sentences of one source document, built on first use and kept
+    for both sentence-coverage metrics."""
+
+    def __init__(self, source: SourceDocument) -> None:
+        self.text = source.text
+
+    @cached_property
+    def sentences(self) -> list[_Sentence]:
+        return [
+            _Sentence(
+                boilerplate=any(rx.search(sentence) for rx in _BOILERPLATE_RES),
+                words=tuple(_word_set(sentence)),
+                keywords=tuple({m.group(1).lower() for m in _CONDITIONAL_RE.finditer(sentence)}),
+            )
+            for sentence in split_sentences(self.text)
+        ]
+
+
+class RecordIndex:
+    """What several metrics read of one record: its prose, its content units
+    with the two 60%-rule matchers over them, and its parent links. Each part
+    is built on first use."""
+
+    def __init__(self, record: BmrRecord, refs: list[CrossReference] | None = None) -> None:
+        self.record = record
+        self.refs = refs or []
+
+    @cached_property
+    def strings(self) -> list[str]:
+        return list(iter_record_strings(self.record))
+
+    @cached_property
+    def words(self) -> set[str]:
+        out: set[str] = set()
+        for text in self.strings:
+            out |= normalize_words(text)
+        return out
+
+    @cached_property
+    def blob(self) -> str:
+        """All prose, lowercased and whitespace-collapsed, as
+        ``" ".join(" ".join(strings).lower().split())`` but one string at a
+        time, so no list of every word is built."""
+        collapsed = (" ".join(text.lower().split()) for text in self.strings)
+        return " ".join(text for text in collapsed if text)
+
+    @cached_property
+    def content_units(self) -> list[tuple[str, frozenset[str]]]:
+        """(kind, canonical words) of each content item that has prose."""
+        units = []
+        for content in _iter_contents(self.record):
+            blob = " ".join(_content_strings(content))
+            if blob:
+                units.append((content.kind, _word_set(blob)))
+        return units
+
+    @cached_property
+    def context_units(self) -> _UnitMatcher:
+        """Every content unit and every step name."""
+        step_names = [
+            _word_set(step.step_name.value)
+            for step in self.record.steps
+            if isinstance(step.step_name.value, str)
+        ]
+        return _UnitMatcher([words for _, words in self.content_units] + step_names)
+
+    @cached_property
+    def conditional_units(self) -> _UnitMatcher:
+        return _UnitMatcher(
+            [words for kind, words in self.content_units if kind in _CONDITIONAL_KINDS]
+        )
+
+    @cached_property
+    def parent_links(self) -> tuple[int, int]:
+        """(valid, total) phase-to-group and step-to-phase/group links. A
+        step's group link is valid only when it also matches its phase's
+        group."""
+        record = self.record
+        group_ids = {g.id for g in record.groups}
+        phase_by_id = {p.id: p for p in record.phases}
+        valid = sum(phase.group_id in group_ids for phase in record.phases)
+        for step in record.steps:
+            phase = phase_by_id.get(step.phase_id)
+            valid += phase is not None
+            valid += (
+                step.group_id in group_ids
+                and phase is not None
+                and step.group_id == phase.group_id
+            )
+        return valid, len(record.phases) + 2 * len(record.steps)
+
+
+# --------------------------------------------------------------------------
 # Coverage metrics
+#
+# A metric that reads the shared indexes builds them and calls a core that
+# compute_metrics shares; the other metrics read the inputs directly. Each
+# tests the source side for emptiness before it touches the record side, as
+# the metric definitions do.
 
 
 def crude_word_coverage(source: SourceDocument, record: BmrRecord) -> float:
     """Word-set recall: share of normalized source words present anywhere in
     the record's prose strings."""
-    src_words = normalize_words(source.text)
+    return _crude_word_coverage(SourceIndex(source), RecordIndex(record))
+
+
+def _crude_word_coverage(src: SourceIndex, rec: RecordIndex) -> float:
+    src_words = normalize_words(src.text)
     if not src_words:
         return 100.0
-    out_words: set[str] = set()
-    for text in iter_record_strings(record):
-        out_words |= normalize_words(text)
-    return 100.0 * len(src_words & out_words) / len(src_words)
-
-
-def _is_boilerplate(sentence: str) -> bool:
-    return any(rx.search(sentence) for rx in _BOILERPLATE_RES)
+    return 100.0 * len(src_words & rec.words) / len(src_words)
 
 
 def context_aware_coverage(source: SourceDocument, record: BmrRecord) -> float:
@@ -239,30 +425,14 @@ def context_aware_coverage(source: SourceDocument, record: BmrRecord) -> float:
     within a single content item or step name. Boilerplate sentences (page
     footers, signature lines) are dropped before counting.
     """
-    kept: list[set[str]] = []
-    for sentence in split_sentences(source.text):
-        if _is_boilerplate(sentence):
-            continue
-        words = _canon_words(sentence)
-        if words:
-            kept.append(words)
+    return _context_aware_coverage(SourceIndex(source), RecordIndex(record))
+
+
+def _context_aware_coverage(src: SourceIndex, rec: RecordIndex) -> float:
+    kept = [s.words for s in src.sentences if not s.boilerplate and s.words]
     if not kept:
         return 100.0
-
-    units: list[set[str]] = []
-    for content in _iter_contents(record):
-        blob = " ".join(_content_strings(content))
-        if blob:
-            units.append(_canon_words(blob))
-    for step in record.steps:
-        if isinstance(step.step_name.value, str):
-            units.append(_canon_words(step.step_name.value))
-
-    covered = 0
-    for words in kept:
-        needed = 0.6 * len(words)
-        if any(len(words & unit) >= needed for unit in units):
-            covered += 1
+    covered = sum(1 for words in kept if rec.context_units.covers(words))
     return 100.0 * covered / len(kept)
 
 
@@ -271,16 +441,18 @@ def reference_coverage(
 ) -> float:
     """Share of source-detected references represented in the record, either
     as a resolved link or carried through as a reference note."""
-    detected = detect_reference_texts(source.text)
+    return _reference_coverage(SourceIndex(source), RecordIndex(record, refs))
+
+
+def _reference_coverage(src: SourceIndex, rec: RecordIndex) -> float:
+    detected = detect_reference_texts(src.text)
     if not detected:
         return 100.0
-    blob = " ".join(iter_record_strings(record)).lower()
-    blob = " ".join(blob.split())
-    resolved_texts = {r.ref_text.lower() for r in refs if r.resolved}
+    resolved_texts = {r.ref_text.lower() for r in rec.refs if r.resolved}
     covered = 0
     for ref_text in detected:
         needle = " ".join(ref_text.lower().split())
-        if needle in blob or needle in resolved_texts:
+        if needle in rec.blob or needle in resolved_texts:
             covered += 1
     return 100.0 * covered / len(detected)
 
@@ -292,23 +464,11 @@ def reference_coverage(
 def hierarchy_preservation(record: BmrRecord) -> float:
     """Valid parent links over all parent links. A step's group link is valid
     only when it also matches its phase's group."""
-    group_ids = {g.id for g in record.groups}
-    phase_by_id = {p.id: p for p in record.phases}
-    total = 0
-    valid = 0
-    for phase in record.phases:
-        total += 1
-        valid += phase.group_id in group_ids
-    for step in record.steps:
-        total += 1
-        phase = phase_by_id.get(step.phase_id)
-        valid += phase is not None
-        total += 1
-        valid += (
-            step.group_id in group_ids
-            and phase is not None
-            and step.group_id == phase.group_id
-        )
+    return _hierarchy_preservation(RecordIndex(record))
+
+
+def _hierarchy_preservation(rec: RecordIndex) -> float:
+    valid, total = rec.parent_links
     return 100.0 if total == 0 else 100.0 * valid / total
 
 
@@ -336,30 +496,28 @@ def _lis_length(seq: list[int]) -> int:
 def sequence_preservation(source: SourceDocument, record: BmrRecord) -> float:
     """Longest increasing subsequence of matched step positions over matches.
 
-    Source step headings are matched to record steps by normalized name; the
+    Source step headings are matched to record steps by normalized name, each
+    heading to the first record step with its name not matched before; the
     metric is 100 when fewer than two headings match.
     """
-    headings = detect_step_headings(source.text)
-    step_keys = [
-        _text_key(s.step_name.value) if isinstance(s.step_name.value, str) else ""
-        for s in record.steps
-    ]
-    used: set[int] = set()
+    unmatched: dict[str, deque[int]] = {}
+    for idx, step in enumerate(record.steps):
+        if isinstance(step.step_name.value, str):
+            key = _text_key(step.step_name.value)
+            if key:
+                unmatched.setdefault(key, deque()).append(idx)
     positions: list[int] = []
-    for heading in headings:
-        key = _text_key(heading)
-        for idx, step_key in enumerate(step_keys):
-            if idx not in used and key and step_key == key:
-                used.add(idx)
-                positions.append(idx)
-                break
+    for heading in detect_step_headings(source.text):
+        queue = unmatched.get(_text_key(heading))
+        if queue:
+            positions.append(queue.popleft())
     if len(positions) < 2:
         return 100.0
     return 100.0 * _lis_length(positions) / len(positions)
 
 
 def _target_exists(record: BmrRecord, target: str) -> bool:
-    m = re.fullmatch(r"steps\[(\d+)\](?:\.content\[(\d+)\])?", target)
+    m = _LINK_TARGET_RE.fullmatch(target)
     if not m:
         return False
     step_idx = int(m.group(1))
@@ -373,28 +531,17 @@ def _target_exists(record: BmrRecord, target: str) -> bool:
 def cross_reference_integrity(record: BmrRecord) -> float:
     """Resolved internal id references over all internal id references:
     link annotations pointing at record paths plus phase/group links."""
-    group_ids = {g.id for g in record.groups}
-    phase_by_id = {p.id: p for p in record.phases}
-    total = 0
-    resolved = 0
-    for content in _iter_contents(record):
+    return _cross_reference_integrity(RecordIndex(record))
+
+
+def _cross_reference_integrity(rec: RecordIndex) -> float:
+    resolved, total = rec.parent_links
+    for content in _iter_contents(rec.record):
         if content.link is not None:
             url = content.link.get("url", "")
             if isinstance(url, str) and url.startswith("#"):
                 total += 1
-                resolved += _target_exists(record, url[1:])
-    for phase in record.phases:
-        total += 1
-        resolved += phase.group_id in group_ids
-    for step in record.steps:
-        phase = phase_by_id.get(step.phase_id)
-        total += 2
-        resolved += phase is not None
-        resolved += (
-            step.group_id in group_ids
-            and phase is not None
-            and step.group_id == phase.group_id
-        )
+                resolved += _target_exists(rec.record, url[1:])
     return 100.0 if total == 0 else 100.0 * resolved / total
 
 
@@ -473,28 +620,16 @@ def calculation_fidelity(source: SourceDocument, record: BmrRecord) -> float:
 def conditional_logic_fidelity(source: SourceDocument, record: BmrRecord) -> float:
     """A conditional source sentence is preserved when an instruction, note,
     warning, or paragraph covers it (60% rule) and retains the keyword."""
-    detected: list[tuple[set[str], set[str]]] = []
-    for sentence in split_sentences(source.text):
-        keywords = {m.group(1).lower() for m in _CONDITIONAL_RE.finditer(sentence)}
-        if keywords:
-            detected.append((_canon_words(sentence), keywords))
+    return _conditional_logic_fidelity(SourceIndex(source), RecordIndex(record))
+
+
+def _conditional_logic_fidelity(src: SourceIndex, rec: RecordIndex) -> float:
+    detected = [s for s in src.sentences if s.keywords]
     if not detected:
         return 100.0
-
-    units: list[set[str]] = []
-    for content in _iter_contents(record):
-        if content.kind in _CONDITIONAL_KINDS:
-            blob = " ".join(_content_strings(content))
-            if blob:
-                units.append(_canon_words(blob))
-
-    preserved = 0
-    for words, keywords in detected:
-        needed = 0.6 * len(words)
-        if any(
-            len(words & unit) >= needed and keywords & unit for unit in units
-        ):
-            preserved += 1
+    preserved = sum(
+        1 for s in detected if rec.conditional_units.covers(s.words, s.keywords)
+    )
     return 100.0 * preserved / len(detected)
 
 
@@ -603,7 +738,7 @@ def detect_form_lines(text: str) -> list[FormLine]:
         if _STEP_HEADING_RE.match(line):
             in_step_body = True
             continue
-        if re.match(r"^\s*#{1,6}\s+", line):
+        if _MD_HEADING_RE.match(line):
             in_step_body = False
             continue
         if not in_step_body:
@@ -621,22 +756,18 @@ def field_accuracy(source: SourceDocument, record: BmrRecord) -> float:
     detected = detect_form_lines(source.text)
     if not detected:
         return 100.0
-    record_fields = [
-        ff for content in _iter_contents(record) for ff in (content.fields or [])
-    ]
-    captured = 0
-    for line in detected:
-        want_label = _text_key(line.label)
-        for ff in record_fields:
-            if _text_key(ff.label) != want_label:
-                continue
-            if line.value is None and ff.value is None:
-                captured += 1
-                break
-            if line.value is not None and ff.value is not None:
-                if _canon_token(str(line.value).lower()) == _canon_token(str(ff.value).lower()):
-                    captured += 1
-                    break
+    # Canonical values by label key; None stands for a blank.
+    values_by_label: dict[str, set[str | None]] = {}
+    for content in _iter_contents(record):
+        for form_field in content.fields or []:
+            values_by_label.setdefault(_text_key(form_field.label), set()).add(
+                _canon_value(form_field.value)
+            )
+    captured = sum(
+        1
+        for line in detected
+        if _canon_value(line.value) in values_by_label.get(_text_key(line.label), ())
+    )
     return 100.0 * captured / len(detected)
 
 
@@ -792,16 +923,16 @@ def compute_metrics(
     weights: WeightVector | None = None,
     processing_seconds: float = 0.0,
 ) -> MetricsReport:
-    refs = refs or []
+    src, rec = SourceIndex(source), RecordIndex(record, refs)
     report = MetricsReport(
-        crude_word_coverage=crude_word_coverage(source, record),
-        context_aware_coverage=context_aware_coverage(source, record),
-        reference_coverage=reference_coverage(source, record, refs),
-        hierarchy_preservation=hierarchy_preservation(record),
+        crude_word_coverage=_crude_word_coverage(src, rec),
+        context_aware_coverage=_context_aware_coverage(src, rec),
+        reference_coverage=_reference_coverage(src, rec),
+        hierarchy_preservation=_hierarchy_preservation(rec),
         sequence_preservation=sequence_preservation(source, record),
-        cross_reference_integrity=cross_reference_integrity(record),
+        cross_reference_integrity=_cross_reference_integrity(rec),
         calculation_fidelity=calculation_fidelity(source, record),
-        conditional_logic_fidelity=conditional_logic_fidelity(source, record),
+        conditional_logic_fidelity=_conditional_logic_fidelity(src, rec),
         unit_fidelity=unit_fidelity(source, record),
         field_accuracy=field_accuracy(source, record),
         table_preservation=table_preservation(source, record),

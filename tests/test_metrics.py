@@ -31,7 +31,7 @@ from bmrkit.metrics import (
 )
 from bmrkit.schema import BmrRecord, parse_record
 
-from conftest import clean_record_json
+from conftest import DATA_DIR, clean_record_json
 
 # Regression constant for the sample document through the rule-based
 # extractor, frozen from the independent word-set oracle below.
@@ -613,6 +613,51 @@ def test_compute_metrics_report_shape(golden_doc, golden_with_refs):
     assert payload["statuses"]["composite"] == "Excellent"
     assert set(payload) > {"crude_word_coverage", "composite", "unique_step_types"}
     json.dumps(payload)
+
+
+def _locked_report(source: SourceDocument, record: BmrRecord) -> str:
+    payload = compute_metrics(source, record).to_json()
+    del payload["processing_seconds"]
+    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+
+
+def test_golden_metrics_lock(golden_doc, golden_record):
+    """The golden sample scores byte-identically to the committed report."""
+    got = _locked_report(golden_doc, golden_record)
+    assert got == (DATA_DIR / "sample_bmr.metrics.json").read_text(encoding="utf-8")
+
+
+def damaged_generated_record() -> BmrRecord:
+    """The committed record of ``generated_bmr.md``, damaged further.
+
+    ``generated_bmr.md`` is document 0 of the perfbench corpus for seed 2 (500
+    to 700 words), and ``generated_bmr.record.json`` its record from the mock
+    backend at default settings, which already misses sentences, form fields,
+    calculations and an image. On top of that, two steps swap places, a step
+    points at a missing phase, a table header is renamed and two form values
+    change, so every percentage metric but reference coverage is below 100.
+    """
+    value = json.loads((DATA_DIR / "generated_bmr.record.json").read_text(encoding="utf-8"))
+    steps = value["steps"]
+    steps[0]["content"][0]["headers"][2] = "Due Date"
+    steps[0]["content"][4]["fields"][0]["value"] = "81.6"
+    # An empty value is not a blank.
+    steps[1]["content"][1]["fields"][0]["value"] = ""
+    steps[-1]["phase_id"] = "phase-9"
+    steps[0], steps[1] = steps[1], steps[0]
+    record = parse_record(value)
+    assert isinstance(record, BmrRecord)
+    return record
+
+
+def test_damaged_metrics_lock():
+    """A partly extracted record scores byte-identically to the committed
+    report."""
+    source = SourceDocument.from_text(
+        (DATA_DIR / "generated_bmr.md").read_text(encoding="utf-8")
+    )
+    got = _locked_report(source, damaged_generated_record())
+    assert got == (DATA_DIR / "generated_bmr.metrics.json").read_text(encoding="utf-8")
 
 
 def test_render_table_groups_categories(golden_doc, golden_with_refs):

@@ -1,0 +1,340 @@
+"""Keyed metrics against brute-force oracles.
+
+The oracles below are the original nested-loop definitions of the four
+metrics whose matching is now keyed or index-filtered: every detected source
+item is compared with every record item. Both sides must give bit-identical
+scores.
+"""
+
+from __future__ import annotations
+
+import re
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bmrkit.chunker import split_sentences
+from bmrkit.ingest import SourceDocument
+from bmrkit.metrics import (
+    RecordIndex,
+    _content_strings,
+    _iter_contents,
+    _lis_length,
+    compute_metrics,
+    conditional_logic_fidelity,
+    context_aware_coverage,
+    detect_form_lines,
+    detect_step_headings,
+    field_accuracy,
+    sequence_preservation,
+)
+from bmrkit.schema import BmrRecord, parse_record
+
+from conftest import clean_record_json
+
+# --------------------------------------------------------------------------
+# Oracles: word canonicalization and the quadratic matching loops.
+
+_GUARD = "\uf8ff"
+_BOILERPLATE_RES = (
+    re.compile(r"page\s+\d+\s+of\s+\d+", re.IGNORECASE),
+    re.compile(r"performed\s+by", re.IGNORECASE),
+    re.compile(r"date:\s*_+", re.IGNORECASE),
+)
+_CONDITIONAL_RE = re.compile(r"\b(if|when|unless|otherwise)\b", re.IGNORECASE)
+_CONDITIONAL_KINDS = {"instruction", "note", "warning", "paragraph"}
+
+
+def _tokenize(text: str) -> list[str]:
+    guarded = re.sub(r"(?<=\d)\.(?=\d)", _GUARD, text.lower())
+    return [
+        m.group(0).replace(_GUARD, ".")
+        for m in re.finditer(r"[a-z0-9" + _GUARD + r"]+", guarded)
+    ]
+
+
+def _canon_token(token: str) -> str:
+    token = token.replace("×", "x")
+    if re.fullmatch(r"\d+\.0+", token):
+        return token.split(".", 1)[0]
+    return token
+
+
+def _canon_words(text: str) -> set[str]:
+    return {_canon_token(w) for w in _tokenize(text) if len(w) >= 2}
+
+
+def _text_key(text: str) -> str:
+    return " ".join(_canon_token(t) for t in _tokenize(text))
+
+
+def oracle_context_aware_coverage(source: SourceDocument, record: BmrRecord) -> float:
+    kept: list[set[str]] = []
+    for sentence in split_sentences(source.text):
+        if any(rx.search(sentence) for rx in _BOILERPLATE_RES):
+            continue
+        words = _canon_words(sentence)
+        if words:
+            kept.append(words)
+    if not kept:
+        return 100.0
+    units: list[set[str]] = []
+    for content in _iter_contents(record):
+        blob = " ".join(_content_strings(content))
+        if blob:
+            units.append(_canon_words(blob))
+    for step in record.steps:
+        if isinstance(step.step_name.value, str):
+            units.append(_canon_words(step.step_name.value))
+    covered = 0
+    for words in kept:
+        needed = 0.6 * len(words)
+        if any(len(words & unit) >= needed for unit in units):
+            covered += 1
+    return 100.0 * covered / len(kept)
+
+
+def oracle_conditional_logic_fidelity(source: SourceDocument, record: BmrRecord) -> float:
+    detected: list[tuple[set[str], set[str]]] = []
+    for sentence in split_sentences(source.text):
+        keywords = {m.group(1).lower() for m in _CONDITIONAL_RE.finditer(sentence)}
+        if keywords:
+            detected.append((_canon_words(sentence), keywords))
+    if not detected:
+        return 100.0
+    units: list[set[str]] = []
+    for content in _iter_contents(record):
+        if content.kind in _CONDITIONAL_KINDS:
+            blob = " ".join(_content_strings(content))
+            if blob:
+                units.append(_canon_words(blob))
+    preserved = 0
+    for words, keywords in detected:
+        needed = 0.6 * len(words)
+        if any(len(words & unit) >= needed and keywords & unit for unit in units):
+            preserved += 1
+    return 100.0 * preserved / len(detected)
+
+
+def oracle_sequence_preservation(source: SourceDocument, record: BmrRecord) -> float:
+    headings = detect_step_headings(source.text)
+    step_keys = [
+        _text_key(s.step_name.value) if isinstance(s.step_name.value, str) else ""
+        for s in record.steps
+    ]
+    used: set[int] = set()
+    positions: list[int] = []
+    for heading in headings:
+        key = _text_key(heading)
+        for idx, step_key in enumerate(step_keys):
+            if idx not in used and key and step_key == key:
+                used.add(idx)
+                positions.append(idx)
+                break
+    if len(positions) < 2:
+        return 100.0
+    return 100.0 * _lis_length(positions) / len(positions)
+
+
+def oracle_field_accuracy(source: SourceDocument, record: BmrRecord) -> float:
+    detected = detect_form_lines(source.text)
+    if not detected:
+        return 100.0
+    record_fields = [
+        ff for content in _iter_contents(record) for ff in (content.fields or [])
+    ]
+    captured = 0
+    for line in detected:
+        want_label = _text_key(line.label)
+        for ff in record_fields:
+            if _text_key(ff.label) != want_label:
+                continue
+            if line.value is None and ff.value is None:
+                captured += 1
+                break
+            if line.value is not None and ff.value is not None:
+                if _canon_token(str(line.value).lower()) == _canon_token(str(ff.value).lower()):
+                    captured += 1
+                    break
+    return 100.0 * captured / len(detected)
+
+
+ORACLES = (
+    (context_aware_coverage, oracle_context_aware_coverage),
+    (conditional_logic_fidelity, oracle_conditional_logic_fidelity),
+    (sequence_preservation, oracle_sequence_preservation),
+    (field_accuracy, oracle_field_accuracy),
+)
+
+
+def assert_matches_oracles(source: SourceDocument, record: BmrRecord) -> None:
+    report = compute_metrics(source, record)
+    for metric, oracle in ORACLES:
+        expected = oracle(source, record)
+        assert metric(source, record) == expected, metric.__name__
+        assert getattr(report, metric.__name__) == expected, metric.__name__
+
+
+# --------------------------------------------------------------------------
+# Record builders
+
+
+def build_record(steps: list[tuple[str, list[dict]]]) -> BmrRecord:
+    value = clean_record_json()
+    value["steps"] = [
+        {
+            "id": f"step-{i + 1}",
+            "phase_id": "phase-1",
+            "group_id": "group-1",
+            "step_name": {"type": ["text"], "value": name},
+            "step_type": {"type": ["text"], "value": None},
+            "content": content,
+        }
+        for i, (name, content) in enumerate(steps)
+    ]
+    record = parse_record(value)
+    assert isinstance(record, BmrRecord)
+    return record
+
+
+def text_unit(kind: str, text: str) -> dict:
+    return {"type": kind, "text": text}
+
+
+def form_unit(*fields: tuple[str, str | None]) -> dict:
+    return {
+        "type": "data_form",
+        "text": "readings",
+        "fields": [{"label": label, "value": value} for label, value in fields],
+    }
+
+
+# --------------------------------------------------------------------------
+# Random small source/record pairs
+
+# Small vocabularies, so that random sources and records share words, labels
+# and step names often. "50"/"50.0" and "1.5" exercise number
+# canonicalization; "ıf" is a conditional keyword that leaves no word behind.
+WORDS = (
+    "blend", "mix", "dry", "granule", "speed", "tank", "valve", "probe",
+    "weight", "target", "the", "50", "50.0", "1.5", "kg", "rpm", "a",
+    "if", "when", "unless", "Otherwise", "ıf",
+)
+LABELS = ("Target weight", "target  weight", "Actual weight", "Blend speed", "Reading 1")
+SOURCE_VALUES = ("50 kg", "50.0", "________ kg", "", "12 rpm", "PASS", "1.5 × 2")
+FIELD_VALUES = (None, "50", "50.0", "12", "pass", "1.5 x 2", "")
+STEP_NAMES = ("alpha mix", "Alpha  Mix", "beta blend", "gamma dry", "delta 50.0")
+KINDS = ("instruction", "note", "warning", "paragraph", "image")
+
+phrases = st.lists(st.sampled_from(WORDS), min_size=1, max_size=16).map(" ".join)
+
+source_lines = st.one_of(
+    st.builds("**Step {}:** {}".format, st.integers(1, 9), st.sampled_from(STEP_NAMES)),
+    st.builds("- {}: {}".format, st.sampled_from(LABELS), st.sampled_from(SOURCE_VALUES)),
+    phrases.map(lambda p: p + "."),
+    phrases,
+    st.sampled_from(("### Notes", "", "Page 2 of 9.", "Performed by: ____")),
+)
+# Form lines count only inside a step body, so most sources open with a step.
+sources = st.lists(source_lines, max_size=25).map(
+    lambda lines: SourceDocument.from_text("\n".join(["**Step 1:** alpha mix", *lines]))
+)
+
+contents = st.one_of(
+    st.builds(text_unit, st.sampled_from(KINDS), phrases),
+    st.lists(
+        st.tuples(st.sampled_from(LABELS), st.sampled_from(FIELD_VALUES)),
+        min_size=1,
+        max_size=4,
+    ).map(lambda fields: form_unit(*fields)),
+)
+records = st.lists(
+    st.tuples(st.sampled_from(STEP_NAMES), st.lists(contents, max_size=4)), max_size=6
+).map(build_record)
+
+
+@settings(max_examples=300, deadline=None)
+@given(source=sources, record=records)
+def test_keyed_metrics_match_brute_force(source, record):
+    assert_matches_oracles(source, record)
+
+
+# Final sigma lowercases by context, and str.split() breaks on more than ASCII
+# whitespace.
+@given(st.lists(st.text(st.sampled_from("aAΣσ İ.\t\n\xa0\x1c\u2028")), max_size=6))
+def test_record_blob_is_the_collapsed_join(strings):
+    index = RecordIndex(BmrRecord.empty())
+    index.strings = strings
+    assert index.blob == " ".join(" ".join(strings).lower().split())
+
+
+# --------------------------------------------------------------------------
+# Edge cases
+
+
+def test_duplicate_labels_mixing_blank_and_valued_fields():
+    source = SourceDocument.from_text(
+        "**Step 1:** Weigh\n"
+        "- Target weight: ________ kg\n"
+        "- Target weight: 50 kg\n"
+        "- Target weight: 49 kg\n"
+        "- Actual weight: ________ kg\n"
+    )
+    record = build_record(
+        [("Weigh", [form_unit(("Target weight", "50.0"), ("Actual weight", "3"))]),
+         ("Weigh", [form_unit(("target weight", None), ("Actual weight", "4"))])]
+    )
+    assert field_accuracy(source, record) == 50.0
+    assert_matches_oracles(source, record)
+
+
+@pytest.mark.parametrize(
+    "order, expected",
+    [
+        (("alpha", "beta", "alpha", "beta"), 100.0),
+        (("beta", "alpha", "alpha", "beta"), 200.0 / 3),
+        (("alpha", "alpha"), 100.0),
+        (("beta", "beta", "alpha"), 50.0),
+    ],
+)
+def test_duplicate_step_headings_take_the_first_unmatched_step(order, expected):
+    source = SourceDocument.from_text(
+        "\n".join(f"**Step {i}:** {name}" for i, name in enumerate(("alpha", "beta", "alpha"), 1))
+    )
+    record = build_record([(name, []) for name in order])
+    assert sequence_preservation(source, record) == pytest.approx(expected)
+    assert_matches_oracles(source, record)
+
+
+@pytest.mark.parametrize("size", [5, 10, 15])
+@pytest.mark.parametrize("extra", [-1, 0])
+def test_sixty_percent_bound_is_exact(size, extra):
+    """0.6·n is an integer here, so a unit with exactly that many shared words
+    covers and one with a word less does not."""
+    words = ["if"] + [f"word{i}" for i in range(1, size)]
+    shared = size * 6 // 10 + extra
+    source = SourceDocument.from_text(" ".join(words) + ".")
+    covering = " ".join(words[:shared])
+    # Units sharing a few of the sentence's words are candidates that fail.
+    decoys = [" ".join(words[:1] + words[-1:]), " ".join(words[-2:])]
+    record = build_record(
+        [("s", [text_unit("instruction", t) for t in [*decoys, covering]])]
+    )
+    covered = 100.0 if extra >= 0 else 0.0
+    assert context_aware_coverage(source, record) == covered
+    assert conditional_logic_fidelity(source, record) == covered
+    assert_matches_oracles(source, record)
+
+
+def test_keyword_missing_from_the_only_covering_unit():
+    source = SourceDocument.from_text("Reject the batch if yield drops below target.")
+    record = build_record(
+        [("Reject", [
+            text_unit("instruction", "Reject the batch when yield drops below target"),
+            text_unit("note", "if in doubt ask"),
+            text_unit("paragraph", "if batch"),
+        ])]
+    )
+    assert context_aware_coverage(source, record) == 100.0
+    assert conditional_logic_fidelity(source, record) == 0.0
+    assert_matches_oracles(source, record)
