@@ -13,7 +13,7 @@ from bmrkit.validation import (
     validate_syntactic,
 )
 
-from conftest import SAMPLE_RECORD, SEEDED_FAULTS, clean_record_json, refs_for_json
+from conftest import DATA_DIR, SAMPLE_RECORD, SEEDED_FAULTS, clean_record_json, refs_for_json
 
 
 def test_clean_record_has_no_issues():
@@ -152,3 +152,12 @@ def test_report_serializes_cleanly():
     assert payload == {"passed": True, "issues": []}
     round_tripped = json.loads(json.dumps(payload))
     assert round_tripped == payload
+
+
+def test_generated_validation_lock():
+    """The mock-backend record of ``generated_bmr.md``, with its references
+    resolved, validates byte-identically to the committed report."""
+    text = (DATA_DIR / "generated_bmr.record.json").read_text(encoding="utf-8")
+    report = validate_all(text, refs=refs_for_json(text))
+    got = json.dumps(report.to_json(), indent=2, ensure_ascii=False) + "\n"
+    assert got == (DATA_DIR / "generated_bmr.validation.json").read_text(encoding="utf-8")
