@@ -134,7 +134,6 @@ def cmd_process(input_path: str, cfg: PipelineConfig) -> int:
         model=cfg.model,
         max_attempts=cfg.max_attempts,
         workers_cap=cfg.workers_cap,
-        reprocess_threshold=cfg.reprocess_threshold,
     )
     try:
         backend = _make_backend(cfg)

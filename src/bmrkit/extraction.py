@@ -98,7 +98,6 @@ class ExtractionConfig:
     max_attempts: int = 3
     workers_cap: int = 8
     generation_params: dict = dc_field(default_factory=dict)
-    reprocess_threshold: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:

@@ -9,14 +9,17 @@ percentage in [0, 100] and degrade to 100 when the source contains nothing to
 preserve.
 
 Scoring builds what several metrics read once per call, in two indexes. A
-``SourceIndex`` holds the source sentences, each with its boilerplate flag,
-canonical word set and conditional keywords; a ``RecordIndex`` holds the
-record's prose strings, one canonical word set per content unit, and the
-parent-link count that two structural metrics share. Each part is computed on
-first use. The 60% sentence-coverage rule runs on an inverted word-to-unit
-index with exact size and prefix filters: only units large enough and holding
-one of a sentence's rarest words are checked in full. Form fields and step
-names are matched by key lookup rather than by scanning the record.
+``SourceIndex`` holds the source's word set and sentences, each sentence with
+its boilerplate flag, canonical word set and conditional keywords; a
+``RecordIndex`` holds the record's prose strings and word set, one canonical
+word set per content unit, and the parent-link count that two structural
+metrics share. Each part is computed on first use, and each text is tokenized
+once, through a memo from raw token to normalized and canonical word that one
+``compute_metrics`` call owns and drops on return. The 60% sentence-coverage
+rule runs on an inverted word-to-unit index with exact size and prefix
+filters: only units large enough and holding one of a sentence's rarest words
+are checked in full. Form fields and step names are matched by key lookup
+rather than by scanning the record.
 """
 
 from __future__ import annotations
@@ -53,8 +56,10 @@ METRIC_NAMES = (
     "field_accuracy",
 )
 
+# Stands in for a dot between digits while tokenizing, so "1.5" stays one token.
+_GUARD = "\uf8ff"
 _NUMBER_DOT_RE = re.compile(r"(?<=\d)\.(?=\d)")
-_TOKEN_RE = re.compile(r"[a-z0-9]+")
+_TOKEN_RE = re.compile("[a-z0-9" + _GUARD + "]+")
 
 _BOILERPLATE_RES = (
     re.compile(r"page\s+\d+\s+of\s+\d+", re.IGNORECASE),
@@ -113,12 +118,34 @@ _LINK_TARGET_RE = re.compile(r"steps\[(\d+)\](?:\.content\[(\d+)\])?")
 def normalize_words(text: str) -> set[str]:
     """Lowercase, strip punctuation (keeping dots inside numbers like 1.5),
     split on whitespace, and drop tokens shorter than two characters."""
-    return {w for w in _tokenize(text) if len(w) >= 2}
+    return {word for word, _ in _Tokenizer().tokens(text) if word}
 
 
-def _tokenize(text: str) -> list[str]:
-    guarded = _NUMBER_DOT_RE.sub("", text.lower())
-    return [t.replace("", ".") for t in _TOKEN_RE.findall(guarded)]
+class _Tokenizer:
+    """Tokenizes with a memo from each guarded token to its normalized word
+    (None when shorter than two characters) and that word's interned
+    canonical form. Each scoring call makes its own and drops it on return."""
+
+    def __init__(self) -> None:
+        self.memo: dict[str, tuple[str | None, str]] = {}
+
+    def tokens(self, text: str) -> Iterator[tuple[str | None, str]]:
+        """(normalized word or None, canonical form) of each token in order."""
+        raw = _TOKEN_RE.findall(_NUMBER_DOT_RE.sub(_GUARD, text.lower()))
+        for token in set(raw).difference(self.memo):
+            word = token.replace(_GUARD, ".")
+            self.memo[token] = (word if len(word) >= 2 else None, sys.intern(_canon_token(word)))
+        return map(self.memo.__getitem__, raw)
+
+    def canon(self, text: str, seen: set[str]) -> frozenset[str]:
+        """The canonical words of ``text``; its normalized words go to ``seen``."""
+        kept = [entry for entry in self.tokens(text) if entry[0]]
+        seen.update(word for word, _ in kept)
+        return frozenset(canon for _, canon in kept)
+
+    def key(self, text: str) -> str:
+        """Order-preserving token key for name matching (keeps short tokens)."""
+        return " ".join(canon for _, canon in self.tokens(text))
 
 
 def _canon_token(token: str) -> str:
@@ -131,21 +158,6 @@ def _canon_token(token: str) -> str:
 def _canon_value(value: Any) -> str | None:
     """Form value as field matching compares it; None stands for a blank."""
     return None if value is None else _canon_token(str(value).lower())
-
-
-def _canon_words(text: str) -> set[str]:
-    return {_canon_token(w) for w in normalize_words(text)}
-
-
-def _word_set(text: str) -> frozenset[str]:
-    """Canonical words with each string interned: a document's sentences and
-    record units repeat a small vocabulary, which is then held once."""
-    return frozenset(map(sys.intern, _canon_words(text)))
-
-
-def _text_key(text: str) -> str:
-    """Order-preserving token key for name matching (keeps short tokens)."""
-    return " ".join(_canon_token(t) for t in _tokenize(text))
 
 
 def _canon_number(raw: Any) -> str | None:
@@ -304,21 +316,32 @@ class _UnitMatcher:
 
 
 class SourceIndex:
-    """The sentences of one source document, built on first use and kept
-    for both sentence-coverage metrics."""
+    """The words and sentences of one source document, built on first use and
+    kept for the coverage metrics."""
 
-    def __init__(self, source: SourceDocument) -> None:
+    def __init__(self, source: SourceDocument, tokenizer: _Tokenizer | None = None) -> None:
         self.text = source.text
+        self.tokenizer = tokenizer or _Tokenizer()
+
+    @cached_property
+    def tokenized(self) -> tuple[set[str], list[tuple[str, tuple[str, ...]]]]:
+        """The text's normalized words, and each sentence with its canonical
+        words, from one pass over the sentences. The sentences hold all of the
+        text's words, as the split removes only whitespace, which no token spans."""
+        words: set[str] = set()
+        canon = self.tokenizer.canon
+        sentences = [(s, tuple(canon(s, words))) for s in split_sentences(self.text)]
+        return words, sentences
 
     @cached_property
     def sentences(self) -> list[_Sentence]:
         return [
             _Sentence(
                 boilerplate=any(rx.search(sentence) for rx in _BOILERPLATE_RES),
-                words=tuple(_word_set(sentence)),
+                words=words,
                 keywords=tuple({m.group(1).lower() for m in _CONDITIONAL_RE.finditer(sentence)}),
             )
-            for sentence in split_sentences(self.text)
+            for sentence, words in self.tokenized[1]
         ]
 
 
@@ -327,20 +350,17 @@ class RecordIndex:
     with the two 60%-rule matchers over them, and its parent links. Each part
     is built on first use."""
 
-    def __init__(self, record: BmrRecord, refs: list[CrossReference] | None = None) -> None:
+    def __init__(
+        self, record: BmrRecord, refs: list[CrossReference] | None = None,
+        tokenizer: _Tokenizer | None = None,
+    ) -> None:
         self.record = record
         self.refs = refs or []
+        self.tokenizer = tokenizer or _Tokenizer()
 
     @cached_property
     def strings(self) -> list[str]:
         return list(iter_record_strings(self.record))
-
-    @cached_property
-    def words(self) -> set[str]:
-        out: set[str] = set()
-        for text in self.strings:
-            out |= normalize_words(text)
-        return out
 
     @cached_property
     def blob(self) -> str:
@@ -351,29 +371,37 @@ class RecordIndex:
         return " ".join(text for text in collapsed if text)
 
     @cached_property
-    def content_units(self) -> list[tuple[str, frozenset[str]]]:
-        """(kind, canonical words) of each content item that has prose."""
+    def tokenized(self) -> tuple[set[str], list[tuple[str | None, frozenset[str]]]]:
+        """The normalized words of all prose strings, and (kind, canonical
+        words) of each step name (kind None) and content item with prose.
+        Strings are tokenized joined by spaces, which no token spans."""
+        record, canon = self.record, self.tokenizer.canon
+        words: set[str] = set()
         units = []
-        for content in _iter_contents(self.record):
-            blob = " ".join(_content_strings(content))
-            if blob:
-                units.append((content.kind, _word_set(blob)))
-        return units
+        rest = [getattr(record.header, key).value for key in HEADER_KEYS]
+        rest += [group.group_name.value for group in record.groups]
+        rest += [phase.phase_name.value for phase in record.phases]
+        for step in record.steps:
+            rest.append(step.step_type.value)
+            if isinstance(step.step_name.value, str):
+                units.append((None, canon(step.step_name.value, words)))
+            for content in step.content:
+                blob = " ".join(_content_strings(content))
+                words_of_blob = canon(blob, words)
+                if blob:
+                    units.append((content.kind, words_of_blob))
+        canon(" ".join(text for text in rest if isinstance(text, str)), words)
+        return words, units
 
     @cached_property
     def context_units(self) -> _UnitMatcher:
         """Every content unit and every step name."""
-        step_names = [
-            _word_set(step.step_name.value)
-            for step in self.record.steps
-            if isinstance(step.step_name.value, str)
-        ]
-        return _UnitMatcher([words for _, words in self.content_units] + step_names)
+        return _UnitMatcher([words for _, words in self.tokenized[1]])
 
     @cached_property
     def conditional_units(self) -> _UnitMatcher:
         return _UnitMatcher(
-            [words for kind, words in self.content_units if kind in _CONDITIONAL_KINDS]
+            [words for kind, words in self.tokenized[1] if kind in _CONDITIONAL_KINDS]
         )
 
     @cached_property
@@ -412,10 +440,10 @@ def crude_word_coverage(source: SourceDocument, record: BmrRecord) -> float:
 
 
 def _crude_word_coverage(src: SourceIndex, rec: RecordIndex) -> float:
-    src_words = normalize_words(src.text)
+    src_words = src.tokenized[0]
     if not src_words:
         return 100.0
-    return 100.0 * len(src_words & rec.words) / len(src_words)
+    return 100.0 * len(src_words & rec.tokenized[0]) / len(src_words)
 
 
 def context_aware_coverage(source: SourceDocument, record: BmrRecord) -> float:
@@ -500,15 +528,16 @@ def sequence_preservation(source: SourceDocument, record: BmrRecord) -> float:
     heading to the first record step with its name not matched before; the
     metric is 100 when fewer than two headings match.
     """
+    text_key = _Tokenizer().key
     unmatched: dict[str, deque[int]] = {}
     for idx, step in enumerate(record.steps):
         if isinstance(step.step_name.value, str):
-            key = _text_key(step.step_name.value)
+            key = text_key(step.step_name.value)
             if key:
                 unmatched.setdefault(key, deque()).append(idx)
     positions: list[int] = []
     for heading in detect_step_headings(source.text):
-        queue = unmatched.get(_text_key(heading))
+        queue = unmatched.get(text_key(heading))
         if queue:
             positions.append(queue.popleft())
     if len(positions) < 2:
@@ -597,10 +626,11 @@ def calculation_fidelity(source: SourceDocument, record: BmrRecord) -> float:
     detected = detect_source_calculations(source.text)
     if not detected:
         return 100.0
+    text_key = _Tokenizer().key
     record_calcs = [
         (
             _norm_formula(c.calculation.formula),
-            {_text_key(v.name) for v in c.calculation.variables},
+            {text_key(v.name) for v in c.calculation.variables},
         )
         for c in _iter_contents(record)
         if c.calculation is not None
@@ -608,7 +638,7 @@ def calculation_fidelity(source: SourceDocument, record: BmrRecord) -> float:
     preserved = 0
     for formula, names in detected:
         want_formula = _norm_formula(formula)
-        want_names = {_text_key(n) for n in names}
+        want_names = {text_key(n) for n in names}
         if any(
             want_formula == got_formula and want_names <= got_names
             for got_formula, got_names in record_calcs
@@ -757,16 +787,17 @@ def field_accuracy(source: SourceDocument, record: BmrRecord) -> float:
     if not detected:
         return 100.0
     # Canonical values by label key; None stands for a blank.
+    text_key = _Tokenizer().key
     values_by_label: dict[str, set[str | None]] = {}
     for content in _iter_contents(record):
         for form_field in content.fields or []:
-            values_by_label.setdefault(_text_key(form_field.label), set()).add(
+            values_by_label.setdefault(text_key(form_field.label), set()).add(
                 _canon_value(form_field.value)
             )
     captured = sum(
         1
         for line in detected
-        if _canon_value(line.value) in values_by_label.get(_text_key(line.label), ())
+        if _canon_value(line.value) in values_by_label.get(text_key(line.label), ())
     )
     return 100.0 * captured / len(detected)
 
@@ -804,14 +835,15 @@ def table_preservation(source: SourceDocument, record: BmrRecord) -> float:
     source_tables = detect_source_tables(source.text)
     if not source_tables:
         return 100.0
+    text_key = _Tokenizer().key
     record_headers = [
-        {_text_key(h) for h in (c.headers or []) if isinstance(h, str)}
+        {text_key(h) for h in (c.headers or []) if isinstance(h, str)}
         for c in _iter_contents(record)
         if c.kind == "table"
     ]
     preserved = 0
     for headers in source_tables:
-        want = {_text_key(h) for h in headers}
+        want = {text_key(h) for h in headers}
         if any(want <= got for got in record_headers):
             preserved += 1
     return 100.0 * preserved / len(source_tables)
@@ -923,7 +955,8 @@ def compute_metrics(
     weights: WeightVector | None = None,
     processing_seconds: float = 0.0,
 ) -> MetricsReport:
-    src, rec = SourceIndex(source), RecordIndex(record, refs)
+    tokenizer = _Tokenizer()
+    src, rec = SourceIndex(source, tokenizer), RecordIndex(record, refs, tokenizer)
     report = MetricsReport(
         crude_word_coverage=_crude_word_coverage(src, rec),
         context_aware_coverage=_context_aware_coverage(src, rec),

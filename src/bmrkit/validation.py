@@ -81,10 +81,15 @@ def _join(path: str, key: str) -> str:
 def validate_syntactic(json_text: str) -> list[ValidationIssue]:
     """Check the raw payload: parseable JSON, legal type strings, uniform
     table rows, and no executable-constructor residue in the text."""
+    return _syntactic(json_text)[0]
+
+
+def _syntactic(json_text: str) -> tuple[list[ValidationIssue], Any]:
+    """The syntactic issues and the parsed value (None when unparseable)."""
     try:
         value = json.loads(json_text)
     except (json.JSONDecodeError, ValueError) as exc:
-        return [issue_error(LAYER_SYNTACTIC, "", JSON_MALFORMED, str(exc))]
+        return [issue_error(LAYER_SYNTACTIC, "", JSON_MALFORMED, str(exc))], None
 
     issues: list[ValidationIssue] = []
     for m in _CONSTRUCTOR_RESIDUE_RE.finditer(json_text):
@@ -96,55 +101,56 @@ def validate_syntactic(json_text: str) -> list[ValidationIssue]:
                 f"constructor call residue in output: {m.group(0)!r}",
             )
         )
-    _walk_syntactic(value, "", issues)
-    return issues
+    if isinstance(value, (dict, list)):
+        _walk_syntactic(value, (), issues)
+    return issues, value
 
 
-def _walk_syntactic(value: Any, path: str, issues: list[ValidationIssue]) -> None:
-    if isinstance(value, dict):
+def _syntax_error(parts: tuple, code: str, message: str) -> ValidationIssue:
+    """An error at the path made of ``parts``, keys and list indices."""
+    path = ""
+    for part in parts:
+        path = f"{path}[{part}]" if isinstance(part, int) else _join(path, part)
+    return issue_error(LAYER_SYNTACTIC, path, code, message)
+
+
+def _walk_syntactic(value: dict | list, parts: tuple, issues: list[ValidationIssue]) -> None:
+    """Check ``value`` and every container below it. The path is carried as
+    parts and formatted only for an issue."""
+    if isinstance(value, list):
+        children = enumerate(value)
+    else:
         declared = value.get("type")
         if isinstance(declared, list):
             if not declared:
-                issues.append(
-                    issue_error(
-                        LAYER_SYNTACTIC, _join(path, "type"), BAD_FIELD_TYPE,
-                        "empty type list",
-                    )
-                )
+                issues.append(_syntax_error((*parts, "type"), BAD_FIELD_TYPE, "empty type list"))
             for t in declared:
-                if t not in FIELD_TYPES:
-                    issues.append(
-                        issue_error(
-                            LAYER_SYNTACTIC, _join(path, "type"), BAD_FIELD_TYPE,
-                            f"unknown field type {t!r}",
-                        )
-                    )
-        elif isinstance(declared, str):
-            if declared not in CONTENT_KINDS:
-                issues.append(
-                    issue_error(
-                        LAYER_SYNTACTIC, _join(path, "type"), BAD_CONTENT_KIND,
-                        f"unknown content kind {declared!r}",
-                    )
+                # A list or object here would break the set lookup; it is no type either.
+                if not isinstance(t, str) or t not in FIELD_TYPES:
+                    message = f"unknown field type {t!r}"
+                    issues.append(_syntax_error((*parts, "type"), BAD_FIELD_TYPE, message))
+        elif isinstance(declared, str) and declared not in CONTENT_KINDS:
+            issues.append(
+                _syntax_error(
+                    (*parts, "type"), BAD_CONTENT_KIND, f"unknown content kind {declared!r}"
                 )
+            )
         headers = value.get("headers")
         rows = value.get("rows")
         if isinstance(headers, list) and isinstance(rows, list):
             for i, row in enumerate(rows):
                 if not isinstance(row, list) or len(row) != len(headers):
                     issues.append(
-                        issue_error(
-                            LAYER_SYNTACTIC,
-                            f"{_join(path, 'rows')}[{i}]",
+                        _syntax_error(
+                            (*parts, "rows", i),
                             ROW_WIDTH_MISMATCH,
                             f"row width differs from {len(headers)} header columns",
                         )
                     )
-        for key, child in value.items():
-            _walk_syntactic(child, _join(path, key), issues)
-    elif isinstance(value, list):
-        for i, child in enumerate(value):
-            _walk_syntactic(child, f"{path}[{i}]", issues)
+        children = value.items()
+    for key, child in children:
+        if isinstance(child, (dict, list)):
+            _walk_syntactic(child, (*parts, key), issues)
 
 
 # --------------------------------------------------------------------------
@@ -353,11 +359,11 @@ def validate_all(
     json_text: str, refs: list[CrossReference] | None = None
 ) -> ValidationReport:
     """Run the layers in order, each gated on the previous having no errors."""
-    issues = validate_syntactic(json_text)
+    issues, value = _syntactic(json_text)
     if any(i.severity == SEVERITY_ERROR for i in issues):
         return ValidationReport(issues=issues)
 
-    parsed = parse_record(json.loads(json_text))
+    parsed = parse_record(value)
     if isinstance(parsed, list):
         return ValidationReport(issues=issues + parsed)
 

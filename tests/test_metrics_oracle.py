@@ -17,6 +17,7 @@ from bmrkit.chunker import split_sentences
 from bmrkit.ingest import SourceDocument
 from bmrkit.metrics import (
     RecordIndex,
+    SourceIndex,
     _content_strings,
     _iter_contents,
     _lis_length,
@@ -26,6 +27,8 @@ from bmrkit.metrics import (
     detect_form_lines,
     detect_step_headings,
     field_accuracy,
+    iter_record_strings,
+    normalize_words,
     sequence_preservation,
 )
 from bmrkit.schema import BmrRecord, parse_record
@@ -338,3 +341,75 @@ def test_keyword_missing_from_the_only_covering_unit():
     assert context_aware_coverage(source, record) == 100.0
     assert conditional_logic_fidelity(source, record) == 0.0
     assert_matches_oracles(source, record)
+
+
+# --------------------------------------------------------------------------
+# One token pass: the shared indexes against per-string tokenization
+#
+# Digits, dots and "×" exercise the number guard and canonicalization, "İ"
+# lowercases to two characters, U+F8FF is the guard character itself, and the
+# whitespace and ".!?" make sentence boundaries.
+
+TOKEN_ALPHABET = "ab1" + "0.×İ" + _GUARD + " \n\t\xa0!?"
+token_texts = st.text(st.sampled_from(TOKEN_ALPHABET), max_size=40)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(token_texts, max_size=6).map(" ".join))
+def test_source_token_pass_matches_per_sentence_tokenization(text):
+    source = SourceDocument.from_text(text)
+    words, sentences = SourceIndex(source).tokenized
+    per_sentence = [normalize_words(s) for s in split_sentences(source.text)]
+    assert normalize_words(source.text) == set().union(*per_sentence) == words
+    assert normalize_words(source.text) == {w for w in _tokenize(source.text) if len(w) >= 2}
+    assert [(s, set(canon)) for s, canon in sentences] == [
+        (s, _canon_words(s)) for s in split_sentences(source.text)
+    ]
+
+
+def table_unit(headers: list[str], rows: list[list[str]]) -> dict:
+    return {"type": "table", "text": "", "headers": headers, "rows": rows}
+
+
+token_contents = st.one_of(
+    st.builds(text_unit, st.sampled_from(KINDS), token_texts),
+    # A form field needs a label.
+    st.lists(st.tuples(token_texts.map("L{}".format), token_texts), min_size=1, max_size=3).map(
+        lambda fields: form_unit(*fields)
+    ),
+    st.lists(token_texts, min_size=1, max_size=3).flatmap(
+        lambda headers: st.lists(
+            st.lists(token_texts, min_size=len(headers), max_size=len(headers)), max_size=2
+        ).map(lambda rows: table_unit(headers, rows))
+    ),
+)
+
+
+@st.composite
+def token_records(draw) -> BmrRecord:
+    steps = draw(
+        st.lists(st.tuples(token_texts, st.lists(token_contents, max_size=3)), max_size=4)
+    )
+    record = build_record(steps)
+    record.header.name.value = draw(token_texts)
+    record.header.sku.value = draw(token_texts)
+    record.groups[0].group_name.value = draw(token_texts)
+    record.phases[0].phase_name.value = draw(token_texts)
+    for step in record.steps:
+        step.step_type.value = draw(st.one_of(st.none(), token_texts))
+    return record
+
+
+@settings(max_examples=300, deadline=None)
+@given(token_records())
+def test_record_token_pass_matches_per_string_tokenization(record):
+    words, units = RecordIndex(record).tokenized
+    assert words == set().union(*map(normalize_words, iter_record_strings(record)))
+    expected = []
+    for step in record.steps:
+        expected.append((None, _canon_words(step.step_name.value)))
+        for content in step.content:
+            blob = " ".join(_content_strings(content))
+            if blob:
+                expected.append((content.kind, _canon_words(blob)))
+    assert [(kind, set(canon)) for kind, canon in units] == expected

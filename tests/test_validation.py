@@ -3,8 +3,9 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bmrkit.schema import BmrRecord, parse_record
+from bmrkit.schema import CONTENT_KINDS, FIELD_TYPES, BmrRecord, parse_record
 from bmrkit.validation import (
     ValidationReport,
     validate_all,
@@ -161,3 +162,105 @@ def test_generated_validation_lock():
     report = validate_all(text, refs=refs_for_json(text))
     got = json.dumps(report.to_json(), indent=2, ensure_ascii=False) + "\n"
     assert got == (DATA_DIR / "generated_bmr.validation.json").read_text(encoding="utf-8")
+
+
+# --------------------------------------------------------------------------
+# Syntactic walk against the eager original, which formats a path string at
+# every node
+
+
+def _oracle_join(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def oracle_walk_syntactic(value, path: str, issues: list) -> None:
+    if isinstance(value, dict):
+        declared = value.get("type")
+        if isinstance(declared, list):
+            if not declared:
+                issues.append(("BAD_FIELD_TYPE", _oracle_join(path, "type"), "empty type list"))
+            for t in declared:
+                if t not in FIELD_TYPES:
+                    issues.append(
+                        ("BAD_FIELD_TYPE", _oracle_join(path, "type"), f"unknown field type {t!r}")
+                    )
+        elif isinstance(declared, str):
+            if declared not in CONTENT_KINDS:
+                issues.append(
+                    (
+                        "BAD_CONTENT_KIND",
+                        _oracle_join(path, "type"),
+                        f"unknown content kind {declared!r}",
+                    )
+                )
+        headers = value.get("headers")
+        rows = value.get("rows")
+        if isinstance(headers, list) and isinstance(rows, list):
+            for i, row in enumerate(rows):
+                if not isinstance(row, list) or len(row) != len(headers):
+                    issues.append(
+                        (
+                            "ROW_WIDTH_MISMATCH",
+                            f"{_oracle_join(path, 'rows')}[{i}]",
+                            f"row width differs from {len(headers)} header columns",
+                        )
+                    )
+        for key, child in value.items():
+            oracle_walk_syntactic(child, _oracle_join(path, key), issues)
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            oracle_walk_syntactic(child, f"{path}[{i}]", issues)
+
+
+# Empty and dotted keys exercise the path joining; "type", "headers" and
+# "rows" also turn up holding values of the wrong shape.
+TREE_KEYS = ("steps", "content", "", "a.b", "type", "headers", "rows")
+tree_scalars = st.one_of(
+    st.none(), st.integers(-2, 2), st.sampled_from(("text", "tabl", "paragraph", "row"))
+)
+type_values = st.one_of(
+    st.lists(st.sampled_from(("text", "numeric", "string", "", None, 1)), max_size=3),
+    st.sampled_from(("paragraph", "table", "tabl", "")),
+    tree_scalars,
+)
+table_rows = st.lists(
+    st.one_of(st.lists(st.just("cell"), max_size=3), tree_scalars), max_size=3
+)
+
+
+def tree_nodes(children):
+    plain = st.dictionaries(st.sampled_from(TREE_KEYS), children, max_size=3)
+    return st.one_of(
+        st.lists(children, max_size=3),
+        plain,
+        st.builds(lambda node, declared: {**node, "type": declared}, plain, type_values),
+        st.builds(
+            lambda node, headers, rows: {**node, "headers": headers, "rows": rows},
+            plain,
+            st.lists(st.just("h"), max_size=3),
+            table_rows,
+        ),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(tree_scalars, tree_nodes, max_leaves=25))
+def test_syntactic_walk_matches_eager_oracle(tree):
+    expected: list = []
+    try:
+        oracle_walk_syntactic(tree, "", expected)
+    except TypeError:
+        # The original raised on a list or object inside a type list;
+        # test_unhashable_type_entries_are_reported covers that case.
+        return
+    got = validate_syntactic(json.dumps(tree))
+    assert [(i.code, i.path, i.message) for i in got] == expected
+    assert all(i.layer == "syntactic" and i.severity == "error" for i in got)
+
+
+def test_unhashable_type_entries_are_reported():
+    issues = validate_syntactic('{"a": [{"type": ["text", ["date"], {}]}]}')
+    assert [(i.code, i.path, i.message) for i in issues] == [
+        ("BAD_FIELD_TYPE", "a[0].type", "unknown field type ['date']"),
+        ("BAD_FIELD_TYPE", "a[0].type", "unknown field type {}"),
+    ]
