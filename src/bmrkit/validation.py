@@ -53,7 +53,9 @@ HEADER_GAP = "HEADER_GAP"
 UNRESOLVED_REF = "UNRESOLVED_REF"
 BAD_PASSFAIL = "BAD_PASSFAIL"
 
-_CONSTRUCTOR_RESIDUE_RE = re.compile(r"\bnew\s+[A-Z][A-Za-z_]*\s*\(")
+# "new" opening a word. The word-boundary test sits after the literal, so the
+# scan can search for "new" instead of trying every position.
+_CONSTRUCTOR_RESIDUE_RE = re.compile(r"new(?<!\wnew)\s+[A-Z][A-Za-z_]*\s*\(")
 
 _PASSFAIL_VALUES = {None, "pass", "fail"}
 
@@ -102,55 +104,52 @@ def _syntactic(json_text: str) -> tuple[list[ValidationIssue], Any]:
             )
         )
     if isinstance(value, (dict, list)):
-        _walk_syntactic(value, (), issues)
+        _walk_syntactic(value, None, issues)
     return issues, value
 
 
-def _syntax_error(parts: tuple, code: str, message: str) -> ValidationIssue:
-    """An error at the path made of ``parts``, keys and list indices."""
-    path = ""
-    for part in parts:
-        path = f"{path}[{part}]" if isinstance(part, int) else _join(path, part)
-    return issue_error(LAYER_SYNTACTIC, path, code, message)
+def _syntax_error(path: tuple | None, code: str, message: str) -> ValidationIssue:
+    """An error at ``path``: None at the root, else (parent path, key or index)."""
+    parts = []
+    while path is not None:
+        path, part = path
+        parts.append(part)
+    text = ""
+    for part in reversed(parts):
+        text = f"{text}[{part}]" if isinstance(part, int) else _join(text, part)
+    return issue_error(LAYER_SYNTACTIC, text, code, message)
 
 
-def _walk_syntactic(value: dict | list, parts: tuple, issues: list[ValidationIssue]) -> None:
-    """Check ``value`` and every container below it. The path is carried as
-    parts and formatted only for an issue."""
+def _walk_syntactic(value: dict | list, path: tuple | None, issues: list[ValidationIssue]) -> None:
+    """Check ``value`` and every container below it. The path is built as
+    linked pairs and formatted only for an issue."""
     if isinstance(value, list):
-        children = enumerate(value)
-    else:
-        declared = value.get("type")
-        if isinstance(declared, list):
-            if not declared:
-                issues.append(_syntax_error((*parts, "type"), BAD_FIELD_TYPE, "empty type list"))
-            for t in declared:
-                # A list or object here would break the set lookup; it is no type either.
-                if not isinstance(t, str) or t not in FIELD_TYPES:
-                    message = f"unknown field type {t!r}"
-                    issues.append(_syntax_error((*parts, "type"), BAD_FIELD_TYPE, message))
-        elif isinstance(declared, str) and declared not in CONTENT_KINDS:
-            issues.append(
-                _syntax_error(
-                    (*parts, "type"), BAD_CONTENT_KIND, f"unknown content kind {declared!r}"
-                )
-            )
-        headers = value.get("headers")
-        rows = value.get("rows")
-        if isinstance(headers, list) and isinstance(rows, list):
-            for i, row in enumerate(rows):
-                if not isinstance(row, list) or len(row) != len(headers):
-                    issues.append(
-                        _syntax_error(
-                            (*parts, "rows", i),
-                            ROW_WIDTH_MISMATCH,
-                            f"row width differs from {len(headers)} header columns",
-                        )
-                    )
-        children = value.items()
-    for key, child in children:
+        for i, child in enumerate(value):
+            if isinstance(child, (dict, list)):
+                _walk_syntactic(child, (path, i), issues)
+        return
+    declared = value.get("type")
+    if isinstance(declared, list):
+        if not declared:
+            issues.append(_syntax_error((path, "type"), BAD_FIELD_TYPE, "empty type list"))
+        for t in declared:
+            # A list or object here would break the set lookup; it is no type either.
+            if not isinstance(t, str) or t not in FIELD_TYPES:
+                message = f"unknown field type {t!r}"
+                issues.append(_syntax_error((path, "type"), BAD_FIELD_TYPE, message))
+    elif isinstance(declared, str) and declared not in CONTENT_KINDS:
+        message = f"unknown content kind {declared!r}"
+        issues.append(_syntax_error((path, "type"), BAD_CONTENT_KIND, message))
+    headers = value.get("headers")
+    rows = value.get("rows")
+    if isinstance(headers, list) and isinstance(rows, list):
+        for i, row in enumerate(rows):
+            if not isinstance(row, list) or len(row) != len(headers):
+                message = f"row width differs from {len(headers)} header columns"
+                issues.append(_syntax_error(((path, "rows"), i), ROW_WIDTH_MISMATCH, message))
+    for key, child in value.items():
         if isinstance(child, (dict, list)):
-            _walk_syntactic(child, (*parts, key), issues)
+            _walk_syntactic(child, (path, key), issues)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -263,4 +264,30 @@ def test_unhashable_type_entries_are_reported():
     assert [(i.code, i.path, i.message) for i in issues] == [
         ("BAD_FIELD_TYPE", "a[0].type", "unknown field type ['date']"),
         ("BAD_FIELD_TYPE", "a[0].type", "unknown field type {}"),
+    ]
+
+
+# Pieces of "new Name(": a word character ("a", "é", "_", "1") before "new"
+# must block a match, and "\xa0" is whitespace to "\s".
+residue_pieces = st.tuples(
+    st.sampled_from(("", " ", "(", "a", "é", "_", "1")),
+    st.sampled_from(("new", "New", "ne")),
+    st.sampled_from(("", " ", "\xa0", "  ")),
+    st.sampled_from(("Foo", "F_x", "foo", "")),
+    st.sampled_from(("(", " (", "", "x(")),
+).map("".join)
+residue_texts = st.lists(residue_pieces, max_size=4).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(residue_texts, st.booleans())
+def test_residue_scan_matches_word_boundary_pattern(text, ascii_only):
+    json_text = json.dumps({"type": "paragraph", "text": text}, ensure_ascii=ascii_only)
+    expected = [
+        f"constructor call residue in output: {m.group(0)!r}"
+        for m in re.finditer(r"\bnew\s+[A-Z][A-Za-z_]*\s*\(", json_text)
+    ]
+    got = validate_syntactic(json_text)
+    assert [(i.code, i.path, i.message) for i in got] == [
+        ("CODE_SYNTAX_RESIDUE", "", message) for message in expected
     ]
