@@ -141,11 +141,11 @@ class _Tokenizer:
         """The canonical words of ``text``; its normalized words go to ``seen``."""
         kept = [entry for entry in self.tokens(text) if entry[0]]
         seen.update(word for word, _ in kept)
-        return frozenset(canon for _, canon in kept)
+        return frozenset(form for _, form in kept)
 
     def key(self, text: str) -> str:
         """Order-preserving token key for name matching (keeps short tokens)."""
-        return " ".join(canon for _, canon in self.tokens(text))
+        return " ".join(form for _, form in self.tokens(text))
 
 
 def _canon_token(token: str) -> str:
@@ -387,9 +387,8 @@ class RecordIndex:
                 units.append((None, canon(step.step_name.value, words)))
             for content in step.content:
                 blob = " ".join(_content_strings(content))
-                words_of_blob = canon(blob, words)
                 if blob:
-                    units.append((content.kind, words_of_blob))
+                    units.append((content.kind, canon(blob, words)))
         canon(" ".join(text for text in rest if isinstance(text, str)), words)
         return words, units
 
