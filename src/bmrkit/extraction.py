@@ -4,8 +4,7 @@ tagged-response parsing, and a bounded worker pool.
 A completion backend is anything with a ``complete(prompt, model, params)``
 method that returns response text; it must tolerate concurrent calls up to the
 worker cap. Chunks extract independently with locally numbered ids; the merge
-stage renumbers globally, so the next-group-id hint in continuation prompts is
-advisory only.
+stage renumbers globally.
 """
 
 from __future__ import annotations
@@ -74,11 +73,6 @@ Wrap your response in <json></json> tags as follows:
 
 Ensure your JSON is fully parsable - no syntax errors, unclosed brackets, or trailing commas."""
 
-CONTINUATION_TEMPLATE = (
-    "This chunk continues the same record. Earlier chunks already used group "
-    "ids up to group-{last}; start any new group ids at group-{next}."
-)
-
 
 class BackendError(Exception):
     """Transport-level failure talking to the completion backend."""
@@ -117,30 +111,15 @@ class ChunkResult:
     failure: str | None = None
 
 
-def build_prompt(
-    chunk: Chunk,
-    chunk_number: int,
-    total_chunks: int,
-    schema_text: str,
-    last_group_id: int = 0,
-) -> str:
-    """Fill the prompt template for one chunk.
-
-    Continuation chunks reuse the same template plus one appended line naming
-    the next free group id; substitution order keeps user content from being
-    re-scanned for placeholders.
-    """
+def build_prompt(chunk: Chunk, chunk_number: int, total_chunks: int, schema_text: str) -> str:
+    """Fill the prompt template for one chunk; substitution order keeps user
+    content from being re-scanned for placeholders."""
     if not 1 <= chunk_number <= total_chunks:
         raise ValueError(f"chunk_number {chunk_number} outside 1..{total_chunks}")
     prompt = PROMPT_TEMPLATE.replace("{chunk_number}", str(chunk_number))
     prompt = prompt.replace("{total_chunks}", str(total_chunks))
     prompt = prompt.replace("{template}", schema_text)
-    prompt = prompt.replace("{mbr}", chunk.text)
-    if chunk_number > 1:
-        prompt += "\n\n" + CONTINUATION_TEMPLATE.format(
-            last=last_group_id, next=last_group_id + 1
-        )
-    return prompt
+    return prompt.replace("{mbr}", chunk.text)
 
 
 def extract_json_block(response: str) -> tuple[str, list[ValidationIssue]]:
@@ -182,7 +161,6 @@ def _repair_section(issues: list[ValidationIssue]) -> str:
 def process_single_chunk(
     index: int,
     chunk: Chunk,
-    last_group_id: int,
     total_chunks: int,
     cfg: ExtractionConfig,
     backend: ExtractionBackend,
@@ -196,9 +174,7 @@ def process_single_chunk(
     """
     from .schema import schema_prompt_text
 
-    base_prompt = build_prompt(
-        chunk, index + 1, total_chunks, schema_prompt_text(), last_group_id
-    )
+    base_prompt = build_prompt(chunk, index + 1, total_chunks, schema_prompt_text())
     all_issues: list[ValidationIssue] = []
     prior_issues: list[ValidationIssue] = []
     failure = PARSE_FAILED
@@ -281,7 +257,7 @@ def run_parallel(
     total = len(chunks)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(process_single_chunk, chunk.index, chunk, 0, total, cfg, backend)
+            pool.submit(process_single_chunk, chunk.index, chunk, total, cfg, backend)
             for chunk in chunks
         ]
         return [f.result() for f in futures]
@@ -315,9 +291,7 @@ def reprocess_low_coverage(
             "chunk %d coverage %.1f%% below %.1f%%; reprocessing",
             chunk.index, coverage, threshold,
         )
-        retry = process_single_chunk(
-            chunk.index, chunk, 0, len(chunks), cfg, backend
-        )
+        retry = process_single_chunk(chunk.index, chunk, len(chunks), cfg, backend)
         if _chunk_coverage(retry, chunk) > coverage:
             out[i] = retry
     return out

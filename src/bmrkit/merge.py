@@ -18,7 +18,7 @@ from .issues import (
     issue_error,
     issue_warning,
 )
-from .schema import HEADER_KEYS, BmrRecord, Content, Group, Phase, Step
+from .schema import HEADER_KEYS, BmrRecord, Content, Group, Phase, Step, id_suffix
 
 if TYPE_CHECKING:
     from .extraction import ChunkResult
@@ -57,11 +57,6 @@ class CrossReference:
             "target_path": self.target_path,
             "resolved": self.resolved,
         }
-
-
-def _suffix(identifier: str) -> int:
-    _, _, tail = identifier.rpartition("-")
-    return int(tail) if tail.isdigit() else -1
 
 
 def renumber_ids(
@@ -229,7 +224,7 @@ def resolve_cross_references(
     image_paths = _content_paths_by_kind(record, "image")
     table_paths = _content_paths_by_kind(record, "table")
     step_by_suffix = {
-        _suffix(s.id): i for i, s in enumerate(record.steps) if _suffix(s.id) > 0
+        id_suffix(s.id): i for i, s in enumerate(record.steps) if id_suffix(s.id) > 0
     }
 
     for i, step in enumerate(record.steps):

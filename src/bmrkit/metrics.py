@@ -4,9 +4,10 @@ Every metric is a recall against detectors that run over the source markdown:
 step headings, form-entry bullets, calculation blocks, conditional sentences,
 number/unit pairs, pipe tables, and image markers. The detectors double as the
 metric denominators, so their rules are part of this module's contract and are
-deliberately spelled out in the docstrings below. All metrics return a
-percentage in [0, 100] and degrade to 100 when the source contains nothing to
-preserve.
+deliberately spelled out in the docstrings below. The line rules they share
+with the extraction double (form bullets, calculation blocks, pipe tables) are
+defined once, in ``grammar``. All metrics return a percentage in [0, 100] and
+degrade to 100 when the source contains nothing to preserve.
 
 Scoring builds what several metrics read once per call, in two indexes. A
 ``SourceIndex`` holds the source's word set and sentences, each sentence with
@@ -35,9 +36,19 @@ from itertools import repeat
 from typing import Any, Iterator, NamedTuple
 
 from .chunker import split_sentences
+from .grammar import (
+    BULLET_RE,
+    CALC_HEADER_RE,
+    FORMULA_RE,
+    STEP_HEADING_RE,
+    parse_form_body,
+    read_calculation,
+    read_table,
+    table_start,
+)
 from .ingest import SourceDocument, scan_image_markers
 from .merge import CrossReference, detect_reference_texts
-from .schema import BmrRecord, Content, HEADER_KEYS
+from .schema import BmrRecord, Content, FormField, HEADER_KEYS
 
 STATUS_EXCELLENT = "Excellent"
 STATUS_ACCEPTABLE = "Acceptable"
@@ -77,35 +88,6 @@ _UNIT_RE = re.compile(
     r"(?![A-Za-z0-9])"
 )
 
-_STEP_HEADING_RE = re.compile(
-    r"^\s*(?:#{1,6}\s+)?\*{0,2}\s*Step\s+(\d+)\s*:?\s*\*{0,2}\s*:?\s*(.+?)\s*$",
-    re.IGNORECASE,
-)
-
-_FORM_BULLET_RE = re.compile(r"^\s*[-*]\s+\*{0,2}([^:*]+)\*{0,2}\s*:\s*(.*)$")
-_BLANK_RUN_RE = re.compile(r"_{3,}")
-_BOILERPLATE_LABEL_RE = re.compile(
-    r"^(performed by|date|signature|signed|verified by|checked by|reviewed by)\b",
-    re.IGNORECASE,
-)
-_FORM_VALUE_RE = re.compile(
-    r"^(\d+(?:\.\d+)?)\s*([A-Za-z°%]+)?\s*((?:\+/-|±).*)?$"
-)
-_ACTION_VERBS = frozenset(
-    {
-        "add", "pass", "load", "mix", "weigh", "screen", "transfer", "charge",
-        "place", "remove", "install", "attach", "verify", "ensure", "check",
-        "clean", "inspect", "start", "stop", "begin", "open", "close", "set",
-        "record", "collect", "discard", "label", "seal", "store",
-    }
-)
-
-_TABLE_SEPARATOR_RE = re.compile(r"^\|[\s\-:|]+\|$")
-
-_CALC_HEADER_RE = re.compile(r"^\s*\*{0,2}Calculation\s*:?\*{0,2}\s*(.*)$", re.IGNORECASE)
-_FORMULA_LINE_RE = re.compile(r"^\s*Formula\s*:\s*(.+)$", re.IGNORECASE)
-_VARIABLES_LINE_RE = re.compile(r"^\s*Variables\s*:\s*$", re.IGNORECASE)
-_HEADING_LINE_RE = re.compile(r"^\s*(#{1,6}\s+|\*\*Step\s+\d+)", re.IGNORECASE)
 _MD_HEADING_RE = re.compile(r"^\s*#{1,6}\s+")
 _ZERO_DECIMAL_RE = re.compile(r"\d+\.0+")
 _LINK_TARGET_RE = re.compile(r"steps\[(\d+)\](?:\.content\[(\d+)\])?")
@@ -503,7 +485,7 @@ def detect_step_headings(text: str) -> list[str]:
     """Ordered step names from source headings like '**Step 3:** Blend'."""
     names = []
     for line in text.split("\n"):
-        m = _STEP_HEADING_RE.match(line)
+        m = STEP_HEADING_RE.match(line)
         if m and m.group(2).strip():
             names.append(m.group(2).strip())
     return names
@@ -584,37 +566,19 @@ def _norm_formula(formula: str) -> str:
 
 def detect_source_calculations(text: str) -> list[tuple[str, list[str]]]:
     """(formula, variable names) blocks introduced by a calculation header or
-    a bare 'Formula:' line; variable bullets follow a 'Variables:' line."""
+    a bare 'Formula:' line; variable bullets follow a 'Variables:' line and
+    run to the first line that is no bullet. A block ends at a blank line or a
+    heading ('#' heading or '**Step N'); its last 'Formula:' line counts."""
     blocks: list[tuple[str, list[str]]] = []
     lines = text.split("\n")
     i = 0
     while i < len(lines):
-        line = lines[i]
-        starts = bool(_CALC_HEADER_RE.match(line)) or bool(_FORMULA_LINE_RE.match(line))
-        if not starts:
+        if CALC_HEADER_RE.match(lines[i]) or FORMULA_RE.match(lines[i]):
+            calc, i = read_calculation(lines, i)
+            if calc.formula:
+                blocks.append((calc.formula, [v.name for v in calc.variables]))
+        else:
             i += 1
-            continue
-        formula = ""
-        variables: list[str] = []
-        in_variables = False
-        while i < len(lines):
-            line = lines[i]
-            if not line.strip():
-                break
-            fm = _FORMULA_LINE_RE.match(line)
-            if fm:
-                formula = fm.group(1).strip()
-            elif _VARIABLES_LINE_RE.match(line):
-                in_variables = True
-            elif in_variables:
-                vm = _FORM_BULLET_RE.match(line)
-                if vm:
-                    variables.append(vm.group(1).strip())
-                else:
-                    in_variables = False
-            i += 1
-        if formula:
-            blocks.append((formula, variables))
     return blocks
 
 
@@ -706,75 +670,33 @@ def unit_fidelity(source: SourceDocument, record: BmrRecord) -> float:
     return 100.0 * preserved / len(detected)
 
 
-@dataclass
-class FormLine:
-    label: str
-    value: str | None
-    unit: str | None = None
-    limits: str | None = None
-
-
-def _parse_form_bullet(line: str) -> FormLine | None:
-    if "[Image Text:" in line:
-        return None
-    m = _FORM_BULLET_RE.match(line)
-    if not m:
-        return None
-    label = m.group(1).strip()
-    rest = m.group(2).strip()
-    if not label or _BOILERPLATE_LABEL_RE.match(label):
-        return None
-    if _BLANK_RUN_RE.search(rest):
-        after = _BLANK_RUN_RE.split(rest, maxsplit=1)[1].strip()
-        unit = after.split()[0] if after else None
-        return FormLine(label=label, value=None, unit=unit)
-    first_word = label.split()[0].lower()
-    if first_word in _ACTION_VERBS:
-        return None
-    if not rest:
-        return FormLine(label=label, value=None)
-    vm = _FORM_VALUE_RE.match(rest)
-    if vm:
-        return FormLine(
-            label=label,
-            value=vm.group(1),
-            unit=vm.group(2),
-            limits=vm.group(3).strip() if vm.group(3) else None,
-        )
-    return FormLine(label=label, value=rest)
-
-
-def detect_form_lines(text: str) -> list[FormLine]:
-    """Fill-in form bullets inside step bodies.
+def detect_form_lines(text: str) -> list[FormField]:
+    """Fill-in form bullets inside step bodies ('- Label: value').
 
     Signature boilerplate is skipped, as are action bullets whose 'label' is
-    really an imperative instruction. Bullets inside calculation blocks are
-    variable listings, not form entries, and are skipped too.
+    really an imperative instruction, image markers and blank labels. Bullets
+    inside calculation blocks are variable listings, not form entries, and are
+    skipped too. A '___' run or an empty value is a blank (value None); a
+    value like '5 mg +/- 1' splits into number, unit and limits.
     """
     lines = text.split("\n")
-    out: list[FormLine] = []
+    out: list[FormField] = []
     in_step_body = False
-    in_calc_block = False
-    for line in lines:
-        if _CALC_HEADER_RE.match(line):
-            in_calc_block = True
+    i = 0
+    while i < len(lines):
+        line = lines[i]
+        if CALC_HEADER_RE.match(line):
+            _, i = read_calculation(lines, i + 1)
             continue
-        if in_calc_block:
-            if not line.strip() or _HEADING_LINE_RE.match(line):
-                in_calc_block = False
-            else:
-                continue
-        if _STEP_HEADING_RE.match(line):
+        i += 1
+        if STEP_HEADING_RE.match(line):
             in_step_body = True
-            continue
-        if _MD_HEADING_RE.match(line):
+        elif _MD_HEADING_RE.match(line):
             in_step_body = False
-            continue
-        if not in_step_body:
-            continue
-        parsed = _parse_form_bullet(line)
-        if parsed is not None:
-            out.append(parsed)
+        elif in_step_body and (bullet := BULLET_RE.match(line)):
+            form_field = parse_form_body(bullet.group(1).strip())
+            if form_field is not None:
+                out.append(form_field)
     return out
 
 
@@ -806,23 +728,15 @@ def field_accuracy(source: SourceDocument, record: BmrRecord) -> float:
 
 
 def detect_source_tables(text: str) -> list[list[str]]:
-    """Header cell lists of markdown pipe tables (a separator row required)."""
+    """Header cell lists of markdown pipe tables: a line that starts and ends
+    with a pipe, then a separator row."""
     tables: list[list[str]] = []
     lines = text.split("\n")
     i = 0
     while i < len(lines):
-        line = lines[i].strip()
-        if (
-            line.startswith("|")
-            and line.endswith("|")
-            and i + 1 < len(lines)
-            and _TABLE_SEPARATOR_RE.match(lines[i + 1].strip())
-        ):
-            headers = [cell.strip() for cell in line.strip("|").split("|")]
-            tables.append([h for h in headers if h])
-            i += 2
-            while i < len(lines) and lines[i].strip().startswith("|"):
-                i += 1
+        if table_start(lines, i):
+            headers, _, i = read_table(lines, i)
+            tables.append(headers)
         else:
             i += 1
     return tables

@@ -5,7 +5,9 @@ bold header lines fill the header, second-level headings open groups,
 "Phase N:" headings open phases, "**Step N:**" lines open steps, and bullets
 become form fields, lists, instructions, or image content. Content that
 appears before the first step (binder pages, equipment tables) is carried
-forward and attached to that step so nothing is dropped.
+forward and attached to that step so nothing is dropped. Form bullets,
+calculation blocks and pipe tables are read by the rules in ``grammar``, which
+the metric detectors apply too.
 """
 
 from __future__ import annotations
@@ -14,49 +16,27 @@ import json
 import re
 
 from .chunker import Chunk
+from .grammar import (
+    BOILERPLATE_LABEL_RE,
+    BULLET_RE,
+    CALC_RE,
+    STEP_RE,
+    parse_form_body,
+    read_calculation,
+    read_table,
+    split_label,
+    table_start,
+)
+from .ingest import IMAGE_MARKER_OPEN
 from .schema import (
-    BmrRecord,
-    CalcResult,
-    Calculation,
-    Content,
-    Field,
-    FormField,
-    Group,
-    Header,
-    Phase,
-    Step,
-    Variable,
-    serialize_record,
+    BmrRecord, Content, Field, FormField, Group, Header, Phase, Step, serialize_record,
 )
 
 _H1_RE = re.compile(r"^#\s+(.+?)\s*$")
 _H2_RE = re.compile(r"^##\s+(.+?)\s*$")
 _H3_PHASE_RE = re.compile(r"^###\s+Phase\s+(\d+)\s*:\s*(.+?)\s*$", re.IGNORECASE)
 _H3_RE = re.compile(r"^###\s+(.+?)\s*$")
-_STEP_RE = re.compile(r"^\*\*Step\s+(\d+)\s*:\s*\*\*\s*:?\s*(.+?)\s*$", re.IGNORECASE)
 _BOLD_META_RE = re.compile(r"^\*\*([^*]+?)\s*:\s*\*\*\s*:?\s*(.+?)\s*$")
-_CALC_RE = re.compile(r"^\*\*Calculation\s*:\s*\*\*\s*:?\s*(.*?)\s*$", re.IGNORECASE)
-_BULLET_RE = re.compile(r"^\s*[-*]\s+(.*)$")
-_LABELED_RE = re.compile(r"^\s*\*{0,2}([^:*]+?)\*{0,2}\s*:\s*(.*)$")
-_BLANK_RUN_RE = re.compile(r"_{3,}")
-_TABLE_SEPARATOR_RE = re.compile(r"^\|[\s\-:|]+\|$")
-_FORMULA_RE = re.compile(r"^\s*Formula\s*:\s*(.+)$", re.IGNORECASE)
-_VARIABLES_RE = re.compile(r"^\s*Variables\s*:\s*$", re.IGNORECASE)
-_NUMBER_VALUE_RE = re.compile(r"^(\d+(?:\.\d+)?)\s*(\S+)?\s*((?:\+/-|±).*)?$")
-_IMAGE_OPEN = "[Image Text:"
-
-_SKIP_LABELS_RE = re.compile(
-    r"^(performed by|date|signature|signed|verified by|checked by|reviewed by)\b",
-    re.IGNORECASE,
-)
-_ACTION_VERBS = frozenset(
-    {
-        "add", "pass", "load", "mix", "weigh", "screen", "transfer", "charge",
-        "place", "remove", "install", "attach", "verify", "ensure", "check",
-        "clean", "inspect", "start", "stop", "begin", "open", "close", "set",
-        "record", "collect", "discard", "label", "seal", "store",
-    }
-)
 
 _HEADER_META_KEYS = {
     "product": "name",
@@ -71,9 +51,9 @@ def _join_image_marker_lines(lines: list[str]) -> list[str]:
     i = 0
     while i < len(lines):
         line = lines[i]
-        if _IMAGE_OPEN in line and "]" not in line.split(_IMAGE_OPEN, 1)[1]:
+        if IMAGE_MARKER_OPEN in line and "]" not in line.split(IMAGE_MARKER_OPEN, 1)[1]:
             joined = line.rstrip()
-            while i + 1 < len(lines) and "]" not in joined.split(_IMAGE_OPEN, 1)[1]:
+            while i + 1 < len(lines) and "]" not in joined.split(IMAGE_MARKER_OPEN, 1)[1]:
                 i += 1
                 joined += " " + lines[i].strip()
             out.append(joined)
@@ -81,17 +61,6 @@ def _join_image_marker_lines(lines: list[str]) -> list[str]:
             out.append(line)
         i += 1
     return out
-
-
-def _parse_number_value(rest: str) -> tuple:
-    m = _NUMBER_VALUE_RE.match(rest)
-    if not m:
-        return rest, None, None
-    unit = m.group(2)
-    if unit is not None and not re.fullmatch(r"[A-Za-z°%]+", unit):
-        return rest, None, None
-    limits = m.group(3).strip() if m.group(3) else None
-    return m.group(1), unit, limits
 
 
 class _RecordBuilder:
@@ -200,117 +169,18 @@ class _RecordBuilder:
 
 
 def _parse_bullet(builder: _RecordBuilder, body: str) -> None:
-    if body.startswith(_IMAGE_OPEN):
+    if body.startswith(IMAGE_MARKER_OPEN):
         close = body.rfind("]")
-        inner = body[len(_IMAGE_OPEN) : close if close != -1 else None]
+        inner = body[len(IMAGE_MARKER_OPEN) : close if close != -1 else None]
         builder.emit(Content(kind="image", text=" ".join(inner.split())))
         return
-    labeled = _LABELED_RE.match(body)
-    if labeled:
-        label = labeled.group(1).strip()
-        rest = labeled.group(2).strip()
-        if _SKIP_LABELS_RE.match(label):
-            return
-        if _BLANK_RUN_RE.search(rest):
-            after = _BLANK_RUN_RE.split(rest, maxsplit=1)[1].strip()
-            unit = after.split()[0] if after else None
-            builder.add_form_field(FormField(label=label, value=None, unit=unit))
-            return
-        if label.split()[0].lower() not in _ACTION_VERBS:
-            value, unit, limits = _parse_number_value(rest)
-            builder.add_form_field(
-                FormField(label=label, value=value, unit=unit, limits=limits)
-            )
-            return
-    builder.add_plain_bullet(body)
-
-
-def _parse_calc_block(
-    builder: _RecordBuilder, lines: list[str], start: int, title: str
-) -> int:
-    """Consume a calculation block; returns the index after its last line."""
-    formula = ""
-    variables: list[Variable] = []
-    result: CalcResult | None = None
-    notes: list[str] = []
-    in_variables = False
-    i = start
-    while i < len(lines):
-        line = lines[i]
-        if not line.strip() or line.startswith("#") or _STEP_RE.match(line):
-            break
-        fm = _FORMULA_RE.match(line)
-        if fm:
-            formula = fm.group(1).strip()
-            in_variables = False
-        elif _VARIABLES_RE.match(line):
-            in_variables = True
-        else:
-            bullet = _BULLET_RE.match(line)
-            if in_variables and bullet:
-                labeled = _LABELED_RE.match(bullet.group(1))
-                if labeled:
-                    name = labeled.group(1).strip()
-                    value, unit, _ = _parse_number_value(labeled.group(2).strip())
-                    try:
-                        value = float(value)
-                    except (TypeError, ValueError):
-                        pass
-                    variables.append(
-                        Variable(name=name, description=name, value=value, unit=unit)
-                    )
-            else:
-                in_variables = False
-                labeled = _LABELED_RE.match(line)
-                if labeled:
-                    label = labeled.group(1).strip().lower()
-                    rest = labeled.group(2).strip()
-                    value, unit, _ = _parse_number_value(rest)
-                    if any(k in label for k in ("expected", "result", "yield")):
-                        try:
-                            value = float(value)
-                        except (TypeError, ValueError):
-                            pass
-                        result = CalcResult(value=value, unit=unit)
-                    else:
-                        notes.append(line.strip())
-                else:
-                    notes.append(line.strip())
-        i += 1
-    text = f"{title} Calculation" if title else "Calculation"
-    builder.emit(
-        Content(
-            kind="calculation",
-            text=text,
-            calculation=Calculation(
-                formula=formula,
-                variables=variables,
-                result=result,
-                notes="\n".join(notes) if notes else None,
-            ),
-        )
-    )
-    return i
-
-
-def _parse_table(builder: _RecordBuilder, lines: list[str], start: int) -> int:
-    header_cells = [c.strip() for c in lines[start].strip().strip("|").split("|")]
-    headers = [c for c in header_cells if c]
-    rows: list[list] = []
-    i = start + 2
-    while i < len(lines) and lines[i].strip().startswith("|"):
-        cells = [c.strip() for c in lines[i].strip().strip("|").split("|")]
-        rows.append((cells + [""] * len(headers))[: len(headers)])
-        i += 1
-    builder.emit(
-        Content(
-            kind="table",
-            text=builder.section_heading,
-            headers=headers,
-            rows=rows,
-        )
-    )
-    return i
+    form_field = parse_form_body(body)
+    if form_field is not None:
+        builder.add_form_field(form_field)
+        return
+    labeled = split_label(body)
+    if labeled is None or not BOILERPLATE_LABEL_RE.match(labeled[0]):
+        builder.add_plain_bullet(body)
 
 
 def extract_markdown_record(text: str) -> BmrRecord:
@@ -325,11 +195,13 @@ def extract_markdown_record(text: str) -> BmrRecord:
             i += 1
             continue
 
-        calc = _CALC_RE.match(line)
-        if calc:
-            i = _parse_calc_block(builder, lines, i + 1, calc.group(1).strip())
+        calc_title = CALC_RE.match(line)
+        if calc_title:
+            calculation, i = read_calculation(lines, i + 1)
+            title = f"{calc_title.group(1).strip()} Calculation".lstrip()
+            builder.emit(Content(kind="calculation", text=title, calculation=calculation))
             continue
-        step = _STEP_RE.match(line)
+        step = STEP_RE.match(line)
         if step:
             builder.open_step(step.group(2))
             i += 1
@@ -371,14 +243,14 @@ def extract_markdown_record(text: str) -> BmrRecord:
             builder.section_heading = h1.group(1)
             i += 1
             continue
-        if (
-            line.strip().startswith("|")
-            and i + 1 < len(lines)
-            and _TABLE_SEPARATOR_RE.match(lines[i + 1].strip())
-        ):
-            i = _parse_table(builder, lines, i)
+        if table_start(lines, i):
+            headers, rows, i = read_table(lines, i)
+            rows = [(row + [""] * len(headers))[: len(headers)] for row in rows]
+            builder.emit(
+                Content(kind="table", text=builder.section_heading, headers=headers, rows=rows)
+            )
             continue
-        bullet = _BULLET_RE.match(line)
+        bullet = BULLET_RE.match(line)
         if bullet:
             _parse_bullet(builder, bullet.group(1).strip())
             i += 1

@@ -289,8 +289,19 @@ def serialize_record(record: BmrRecord) -> dict:
 # Parsing
 
 
-def _join(path: str, key: str) -> str:
+def join_path(path: str, key: str) -> str:
     return f"{path}.{key}" if path else key
+
+
+def id_suffix(identifier: str) -> int:
+    """The number after an id's last dash, or -1 when there is none."""
+    _, _, tail = identifier.rpartition("-")
+    return int(tail) if tail.isdigit() else -1
+
+
+def is_field_type(value: Any) -> bool:
+    """Whether ``value`` names a field type; a list or object names none."""
+    return isinstance(value, str) and value in FIELD_TYPES
 
 
 class _Parser:
@@ -306,21 +317,21 @@ class _Parser:
             return Field(types=["text"])
         types = value.get("type")
         if "type" not in value:
-            self.error(_join(path, "type"), MISSING_FIELD, "field is missing its type list")
+            self.error(join_path(path, "type"), MISSING_FIELD, "field is missing its type list")
             types = ["text"]
         elif not isinstance(types, list) or not types:
             self.error(
-                _join(path, "type"), BAD_FIELD_TYPE, "type must be a non-empty list"
+                join_path(path, "type"), BAD_FIELD_TYPE, "type must be a non-empty list"
             )
             types = ["text"]
         else:
             for t in types:
-                if t not in FIELD_TYPES:
+                if not is_field_type(t):
                     self.error(
-                        _join(path, "type"), BAD_FIELD_TYPE, f"unknown field type {t!r}"
+                        join_path(path, "type"), BAD_FIELD_TYPE, f"unknown field type {t!r}"
                     )
         if "value" not in value:
-            self.error(_join(path, "value"), MISSING_FIELD, "field is missing its value")
+            self.error(join_path(path, "value"), MISSING_FIELD, "field is missing its value")
         extra = {k: v for k, v in value.items() if k not in ("type", "value")}
         return Field(types=list(types), value=value.get("value"), extra=extra)
 
@@ -330,10 +341,10 @@ class _Parser:
             return FormField(label="")
         label = value.get("label")
         if not isinstance(label, str) or not label:
-            self.error(_join(path, "label"), MISSING_FIELD, "form field needs a label")
+            self.error(join_path(path, "label"), MISSING_FIELD, "form field needs a label")
             label = ""
         if "value" not in value:
-            self.error(_join(path, "value"), MISSING_FIELD, "form field is missing its value")
+            self.error(join_path(path, "value"), MISSING_FIELD, "form field is missing its value")
         known = ("label", "value", "unit", "limits", "notes")
         extra = {k: v for k, v in value.items() if k not in known}
         return FormField(
@@ -351,12 +362,12 @@ class _Parser:
             return Variable(name="", description="")
         name = value.get("name")
         if not isinstance(name, str) or not name:
-            self.error(_join(path, "name"), MISSING_FIELD, "variable needs a name")
+            self.error(join_path(path, "name"), MISSING_FIELD, "variable needs a name")
             name = ""
         description = value.get("description")
         if not isinstance(description, str):
             self.error(
-                _join(path, "description"), MISSING_FIELD, "variable needs a description"
+                join_path(path, "description"), MISSING_FIELD, "variable needs a description"
             )
             description = ""
         known = ("name", "description", "value", "unit")
@@ -375,23 +386,23 @@ class _Parser:
             return Calculation(formula="")
         formula = value.get("formula")
         if not isinstance(formula, str):
-            self.error(_join(path, "formula"), MISSING_FIELD, "calculation needs a formula")
+            self.error(join_path(path, "formula"), MISSING_FIELD, "calculation needs a formula")
             formula = ""
         raw_vars = value.get("variables")
         if not isinstance(raw_vars, list):
             self.error(
-                _join(path, "variables"), MISSING_FIELD, "calculation needs a variables list"
+                join_path(path, "variables"), MISSING_FIELD, "calculation needs a variables list"
             )
             raw_vars = []
         variables = [
-            self.variable(v, f"{_join(path, 'variables')}[{i}]")
+            self.variable(v, f"{join_path(path, 'variables')}[{i}]")
             for i, v in enumerate(raw_vars)
         ]
         result = None
         raw_result = value.get("result")
         if raw_result is not None:
             if not isinstance(raw_result, dict) or "value" not in raw_result:
-                self.error(_join(path, "result"), MISSING_FIELD, "result needs a value")
+                self.error(join_path(path, "result"), MISSING_FIELD, "result needs a value")
             else:
                 result_extra = {
                     k: v for k, v in raw_result.items() if k not in ("value", "unit")
@@ -417,98 +428,100 @@ class _Parser:
             return Content(kind="paragraph")
         kind = value.get("type")
         if "type" not in value:
-            self.error(_join(path, "type"), MISSING_FIELD, "content is missing its type")
+            self.error(join_path(path, "type"), MISSING_FIELD, "content is missing its type")
             kind = "paragraph"
         elif not isinstance(kind, str) or kind not in CONTENT_KINDS:
             self.error(
-                _join(path, "type"), BAD_CONTENT_KIND, f"unknown content kind {kind!r}"
+                join_path(path, "type"), BAD_CONTENT_KIND, f"unknown content kind {kind!r}"
             )
             kind = "paragraph"
         text = value.get("text")
         if not isinstance(text, str):
-            self.error(_join(path, "text"), MISSING_FIELD, "content needs a text string")
+            self.error(join_path(path, "text"), MISSING_FIELD, "content needs a text string")
             text = ""
 
         items = value.get("items")
         if items is not None and not isinstance(items, list):
-            self.error(_join(path, "items"), MISSING_FIELD, "items must be a list")
+            self.error(join_path(path, "items"), MISSING_FIELD, "items must be a list")
             items = None
         fields = None
         raw_fields = value.get("fields")
         if raw_fields is not None:
             if not isinstance(raw_fields, list):
-                self.error(_join(path, "fields"), MISSING_FIELD, "fields must be a list")
+                self.error(join_path(path, "fields"), MISSING_FIELD, "fields must be a list")
             else:
                 fields = [
-                    self.form_field(f, f"{_join(path, 'fields')}[{i}]")
+                    self.form_field(f, f"{join_path(path, 'fields')}[{i}]")
                     for i, f in enumerate(raw_fields)
                 ]
         calculation = None
         if value.get("calculation") is not None:
             calculation = self.calculation(
-                value["calculation"], _join(path, "calculation")
+                value["calculation"], join_path(path, "calculation")
             )
         headers = value.get("headers")
         if headers is not None and not isinstance(headers, list):
-            self.error(_join(path, "headers"), MISSING_FIELD, "headers must be a list")
+            self.error(join_path(path, "headers"), MISSING_FIELD, "headers must be a list")
             headers = None
         rows = value.get("rows")
         if rows is not None and not isinstance(rows, list):
-            self.error(_join(path, "rows"), MISSING_FIELD, "rows must be a list")
+            self.error(join_path(path, "rows"), MISSING_FIELD, "rows must be a list")
             rows = None
         link = value.get("link")
         if link is not None and not isinstance(link, dict):
-            self.error(_join(path, "link"), MISSING_FIELD, "link must be an object")
+            self.error(join_path(path, "link"), MISSING_FIELD, "link must be an object")
             link = None
         attachment = value.get("attachment")
         if attachment is not None and not isinstance(attachment, dict):
             self.error(
-                _join(path, "attachment"), MISSING_FIELD, "attachment must be an object"
+                join_path(path, "attachment"), MISSING_FIELD, "attachment must be an object"
             )
             attachment = None
 
         # Kind-specific payload requirements.
         if kind == "table":
             if headers is None:
-                self.error(_join(path, "headers"), MISSING_FIELD, "table needs headers")
+                self.error(join_path(path, "headers"), MISSING_FIELD, "table needs headers")
             elif rows is not None:
                 for i, row in enumerate(rows):
                     if not isinstance(row, list) or len(row) != len(headers):
                         self.error(
-                            f"{_join(path, 'rows')}[{i}]",
+                            f"{join_path(path, 'rows')}[{i}]",
                             ROW_WIDTH_MISMATCH,
                             f"row width differs from {len(headers)} header columns",
                         )
         elif kind == "data_form":
             if not fields:
                 self.error(
-                    _join(path, "fields"), MISSING_FIELD, "data_form needs form fields"
+                    join_path(path, "fields"), MISSING_FIELD, "data_form needs form fields"
                 )
         elif kind == "calculation":
             if calculation is None:
                 self.error(
-                    _join(path, "calculation"),
+                    join_path(path, "calculation"),
                     MISSING_FIELD,
                     "calculation content needs a calculation payload",
                 )
         elif kind in ("bullet_list", "numbered_list"):
             if items is None:
-                self.error(_join(path, "items"), MISSING_FIELD, f"{kind} needs items")
+                self.error(join_path(path, "items"), MISSING_FIELD, f"{kind} needs items")
         elif kind == "link":
             if link is None or "link_text" not in link or "url" not in link:
                 self.error(
-                    _join(path, "link"), MISSING_FIELD, "link content needs link_text and url"
+                    join_path(path, "link"), MISSING_FIELD, "link content needs link_text and url"
                 )
         elif kind == "attachments":
             if attachment is None or "name" not in attachment:
                 self.error(
-                    _join(path, "attachment"),
+                    join_path(path, "attachment"),
                     MISSING_FIELD,
                     "attachments content needs an attachment payload",
                 )
-            elif attachment.get("kind") not in ATTACHMENT_KINDS:
+            elif not (
+                isinstance(attachment.get("kind"), str) and attachment["kind"] in ATTACHMENT_KINDS
+            ):
                 self.error(
-                    f"{_join(path, 'attachment')}.kind",
+                    f"{join_path(path, 'attachment')}.kind",
                     BAD_FIELD_TYPE,
                     f"attachment kind must be one of {sorted(ATTACHMENT_KINDS)}",
                 )
@@ -553,10 +566,10 @@ class _Parser:
         fields = {}
         for key in HEADER_KEYS:
             if key not in value:
-                self.error(_join("header", key), MISSING_FIELD, f"header is missing {key}")
+                self.error(join_path("header", key), MISSING_FIELD, f"header is missing {key}")
                 fields[key] = Field(["text"])
             else:
-                fields[key] = self.field(value[key], _join("header", key))
+                fields[key] = self.field(value[key], join_path("header", key))
         extra = {k: v for k, v in value.items() if k not in HEADER_KEYS}
         return Header(extra=extra, **fields)
 
@@ -564,12 +577,12 @@ class _Parser:
         if not isinstance(value, dict):
             self.error(path, MISSING_FIELD, "expected a group object")
             return Group(id="", group_name=Field(["text"]))
-        gid = self.identifier(value.get("id"), _join(path, "id"), GROUP_ID_RE)
+        gid = self.identifier(value.get("id"), join_path(path, "id"), GROUP_ID_RE)
         if "group_name" not in value:
-            self.error(_join(path, "group_name"), MISSING_FIELD, "group needs group_name")
+            self.error(join_path(path, "group_name"), MISSING_FIELD, "group needs group_name")
             name = Field(["text"])
         else:
-            name = self.field(value["group_name"], _join(path, "group_name"))
+            name = self.field(value["group_name"], join_path(path, "group_name"))
         extra = {k: v for k, v in value.items() if k not in ("id", "group_name")}
         return Group(id=gid, group_name=name, extra=extra)
 
@@ -577,13 +590,13 @@ class _Parser:
         if not isinstance(value, dict):
             self.error(path, MISSING_FIELD, "expected a phase object")
             return Phase(id="", group_id="", phase_name=Field(["text"]))
-        pid = self.identifier(value.get("id"), _join(path, "id"), PHASE_ID_RE)
-        gid = self.identifier(value.get("group_id"), _join(path, "group_id"), GROUP_ID_RE)
+        pid = self.identifier(value.get("id"), join_path(path, "id"), PHASE_ID_RE)
+        gid = self.identifier(value.get("group_id"), join_path(path, "group_id"), GROUP_ID_RE)
         if "phase_name" not in value:
-            self.error(_join(path, "phase_name"), MISSING_FIELD, "phase needs phase_name")
+            self.error(join_path(path, "phase_name"), MISSING_FIELD, "phase needs phase_name")
             name = Field(["text"])
         else:
-            name = self.field(value["phase_name"], _join(path, "phase_name"))
+            name = self.field(value["phase_name"], join_path(path, "phase_name"))
         extra = {
             k: v for k, v in value.items() if k not in ("id", "group_id", "phase_name")
         }
@@ -596,22 +609,22 @@ class _Parser:
                 id="", phase_id="", group_id="",
                 step_name=Field(["text"]), step_type=Field(["text"]),
             )
-        sid = self.identifier(value.get("id"), _join(path, "id"), STEP_ID_RE)
-        pid = self.identifier(value.get("phase_id"), _join(path, "phase_id"), PHASE_ID_RE)
-        gid = self.identifier(value.get("group_id"), _join(path, "group_id"), GROUP_ID_RE)
+        sid = self.identifier(value.get("id"), join_path(path, "id"), STEP_ID_RE)
+        pid = self.identifier(value.get("phase_id"), join_path(path, "phase_id"), PHASE_ID_RE)
+        gid = self.identifier(value.get("group_id"), join_path(path, "group_id"), GROUP_ID_RE)
         names = {}
         for key in ("step_name", "step_type"):
             if key not in value:
-                self.error(_join(path, key), MISSING_FIELD, f"step needs {key}")
+                self.error(join_path(path, key), MISSING_FIELD, f"step needs {key}")
                 names[key] = Field(["text"])
             else:
-                names[key] = self.field(value[key], _join(path, key))
+                names[key] = self.field(value[key], join_path(path, key))
         raw_content = value.get("content")
         if not isinstance(raw_content, list):
-            self.error(_join(path, "content"), MISSING_FIELD, "step needs a content list")
+            self.error(join_path(path, "content"), MISSING_FIELD, "step needs a content list")
             raw_content = []
         content = [
-            self.content(c, f"{_join(path, 'content')}[{i}]")
+            self.content(c, f"{join_path(path, 'content')}[{i}]")
             for i, c in enumerate(raw_content)
         ]
         known = ("id", "phase_id", "group_id", "step_name", "step_type", "content")
@@ -723,7 +736,7 @@ class Header {
 class Content {
     type: "paragraph" | "bullet_list" | "numbered_list" |
           "note" | "warning" | "instruction" | "data_form" |
-          "calculation" | "table" | "image";
+          "calculation" | "table" | "image" | "link" | "attachments";
     text: string;
     items?: string[];
     fields?: {
@@ -749,6 +762,15 @@ class Content {
     };
     headers?: string[];
     rows?: any[][];
+    link?: {
+        link_text: string;
+        url: string;
+    };
+    attachment?: {
+        kind: "BOM" | "BOE" | "other";
+        name: string;
+        reference?: string;
+    };
 }
 
 class Step {

@@ -27,17 +27,19 @@ from .issues import (
 )
 from .merge import CrossReference
 from .schema import (
-    BmrRecord,
+    BAD_CONTENT_KIND,
+    BAD_FIELD_TYPE,
     CONTENT_KINDS,
-    FIELD_TYPES,
     HEADER_KEYS,
+    ROW_WIDTH_MISMATCH,
+    BmrRecord,
+    id_suffix,
+    is_field_type,
+    join_path,
     parse_record,
 )
 
 JSON_MALFORMED = "JSON_MALFORMED"
-BAD_FIELD_TYPE = "BAD_FIELD_TYPE"
-BAD_CONTENT_KIND = "BAD_CONTENT_KIND"
-ROW_WIDTH_MISMATCH = "ROW_WIDTH_MISMATCH"
 CODE_SYNTAX_RESIDUE = "CODE_SYNTAX_RESIDUE"
 
 CLASS_NESTING = "CLASS_NESTING"
@@ -57,7 +59,8 @@ BAD_PASSFAIL = "BAD_PASSFAIL"
 # scan can search for "new" instead of trying every position.
 _CONSTRUCTOR_RESIDUE_RE = re.compile(r"new(?<!\wnew)\s+[A-Z][A-Za-z_]*\s*\(")
 
-_PASSFAIL_VALUES = {None, "pass", "fail"}
+# A tuple, so that a list or object value compares unequal instead of raising.
+_PASSFAIL_VALUES = (None, "pass", "fail")
 
 
 @dataclass
@@ -70,10 +73,6 @@ class ValidationReport:
 
     def to_json(self) -> dict:
         return {"passed": self.passed, "issues": [i.to_json() for i in self.issues]}
-
-
-def _join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
 
 
 # --------------------------------------------------------------------------
@@ -116,7 +115,7 @@ def _syntax_error(path: tuple | None, code: str, message: str) -> ValidationIssu
         parts.append(part)
     text = ""
     for part in reversed(parts):
-        text = f"{text}[{part}]" if isinstance(part, int) else _join(text, part)
+        text = f"{text}[{part}]" if isinstance(part, int) else join_path(text, part)
     return issue_error(LAYER_SYNTACTIC, text, code, message)
 
 
@@ -133,8 +132,7 @@ def _walk_syntactic(value: dict | list, path: tuple | None, issues: list[Validat
         if not declared:
             issues.append(_syntax_error((path, "type"), BAD_FIELD_TYPE, "empty type list"))
         for t in declared:
-            # A list or object here would break the set lookup; it is no type either.
-            if not isinstance(t, str) or t not in FIELD_TYPES:
+            if not is_field_type(t):
                 message = f"unknown field type {t!r}"
                 issues.append(_syntax_error((path, "type"), BAD_FIELD_TYPE, message))
     elif isinstance(declared, str) and declared not in CONTENT_KINDS:
@@ -234,7 +232,7 @@ def validate_structural(record: BmrRecord) -> list[ValidationIssue]:
     for name, objs in arrays:
         if name in dup_arrays:
             continue
-        suffixes = [_id_suffix(o.id) for o in objs]
+        suffixes = [id_suffix(o.id) for o in objs]
         for i in range(1, len(suffixes)):
             if suffixes[i] <= suffixes[i - 1]:
                 issues.append(
@@ -244,11 +242,6 @@ def validate_structural(record: BmrRecord) -> list[ValidationIssue]:
                     )
                 )
     return issues
-
-
-def _id_suffix(identifier: str) -> int:
-    _, _, tail = identifier.rpartition("-")
-    return int(tail) if tail.isdigit() else -1
 
 
 # --------------------------------------------------------------------------

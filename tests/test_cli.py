@@ -142,6 +142,15 @@ def test_validate_nested_phases(tmp_path, capsys):
     assert "CLASS_NESTING" in capsys.readouterr().out
 
 
+def test_validate_nested_type_list(tmp_path, capsys):
+    value = clean_record_json()
+    value["header"]["name"]["type"] = [["text"]]
+    path = tmp_path / "nested_type.json"
+    path.write_text(json.dumps(value))
+    assert run(["validate", path]) == 1
+    assert "BAD_FIELD_TYPE" in capsys.readouterr().out
+
+
 def test_score_identity_fixture(tmp_path, capsys):
     src = tmp_path / "tiny.md"
     src.write_text("Blend the powder slowly. Verify the final seal integrity.")

@@ -62,14 +62,9 @@ def test_prompt_substitutes_counters_and_payloads():
 def test_first_chunk_has_no_continuation_line():
     prompt = build_prompt(CHUNK, 1, 2, schema_prompt_text())
     assert "continues the same record" not in prompt
-
-
-def test_continuation_names_next_group_id():
-    prompt = build_prompt(CHUNK, 2, 2, schema_prompt_text(), last_group_id=3)
-    assert prompt.endswith(
-        "This chunk continues the same record. Earlier chunks already used "
-        "group ids up to group-3; start any new group ids at group-4."
-    )
+    later = build_prompt(CHUNK, 2, 2, schema_prompt_text())
+    assert "continues the same record" not in later
+    assert later == prompt.replace("(chunk 1 of 2)", "(chunk 2 of 2)")
 
 
 def test_chunk_number_bounds_checked():
@@ -110,7 +105,7 @@ def test_no_payload_raises():
 
 def test_success_on_first_attempt():
     backend = ScriptedBackend([wrap_json(clean_record_json())])
-    result = process_single_chunk(0, CHUNK, 0, 1, CFG, backend)
+    result = process_single_chunk(0, CHUNK, 1, CFG, backend)
     assert result.failure is None
     assert result.attempts_used == 1
     assert result.record is not None
@@ -119,7 +114,7 @@ def test_success_on_first_attempt():
 
 def test_retry_recovers_from_malformed_json():
     backend = ScriptedBackend(["<json>{broken</json>", wrap_json(clean_record_json())])
-    result = process_single_chunk(0, CHUNK, 0, 1, CFG, backend)
+    result = process_single_chunk(0, CHUNK, 1, CFG, backend)
     assert result.attempts_used == 2
     assert result.record is not None
     assert any(i.code == PARSE_FAILED for i in result.issues)
@@ -127,14 +122,14 @@ def test_retry_recovers_from_malformed_json():
 
 def test_retry_prompt_carries_prior_issue_codes():
     backend = ScriptedBackend(["<json>{broken</json>", wrap_json(clean_record_json())])
-    process_single_chunk(0, CHUNK, 0, 1, CFG, backend)
+    process_single_chunk(0, CHUNK, 1, CFG, backend)
     assert PARSE_FAILED in backend.prompts[1]
     assert backend.prompts[1].startswith(backend.prompts[0])
 
 
 def test_exhaustion_reports_parse_failed():
     backend = ScriptedBackend(["oops"])
-    result = process_single_chunk(0, CHUNK, 0, 1, CFG, backend)
+    result = process_single_chunk(0, CHUNK, 1, CFG, backend)
     assert result.record is None
     assert result.failure == PARSE_FAILED
     assert result.attempts_used == 3
@@ -145,20 +140,29 @@ def test_schema_invalid_failure_reason():
     bad = clean_record_json()
     bad["steps"][0]["id"] = "not-an-id"
     backend = ScriptedBackend([wrap_json(bad)])
-    result = process_single_chunk(0, CHUNK, 0, 1, CFG, backend)
+    result = process_single_chunk(0, CHUNK, 1, CFG, backend)
     assert result.failure == SCHEMA_INVALID
     assert any(i.code == "BAD_ID_FORMAT" for i in result.issues)
 
 
+def test_nested_type_list_reply_is_schema_invalid():
+    bad = clean_record_json()
+    bad["steps"][0]["step_name"]["type"] = [["text"]]
+    result = process_single_chunk(0, CHUNK, 1, CFG, ScriptedBackend([wrap_json(bad)]))
+    assert result.record is None
+    assert result.failure == SCHEMA_INVALID
+    assert any(i.code == "BAD_FIELD_TYPE" for i in result.issues)
+
+
 def test_backend_error_failure_reason():
-    result = process_single_chunk(0, CHUNK, 0, 1, CFG, FailingBackend())
+    result = process_single_chunk(0, CHUNK, 1, CFG, FailingBackend())
     assert result.failure == BACKEND_ERROR
     assert [i.code for i in result.issues] == [BACKEND_ERROR] * 3
 
 
 def test_tag_fallback_warning_kept_on_success():
     backend = ScriptedBackend([json.dumps(clean_record_json())])
-    result = process_single_chunk(0, CHUNK, 0, 1, CFG, backend)
+    result = process_single_chunk(0, CHUNK, 1, CFG, backend)
     assert result.record is not None
     assert [i.code for i in result.issues] == [TAG_FALLBACK]
 
@@ -351,6 +355,6 @@ def test_mock_backend_round_trips_sample(golden_doc, golden_record):
     from bmrkit.mock_backend import MockBackend
 
     chunk = Chunk(index=0, text=golden_doc.text, token_count=0)
-    result = process_single_chunk(0, chunk, 0, 1, CFG, MockBackend())
+    result = process_single_chunk(0, chunk, 1, CFG, MockBackend())
     assert result.record is not None
     assert serialize_record(result.record) == serialize_record(golden_record)

@@ -5,6 +5,8 @@ import json
 from hypothesis import given, settings, strategies as st
 
 from bmrkit.schema import (
+    ATTACHMENT_KINDS,
+    CONTENT_KINDS,
     BmrRecord,
     parse_record,
     schema_prompt_text,
@@ -24,6 +26,13 @@ def test_schema_text_lists_pass_fail_type():
 
 def test_schema_text_is_constant():
     assert schema_prompt_text() == schema_prompt_text()
+
+
+def test_schema_text_lists_every_content_and_attachment_kind():
+    text = schema_prompt_text()
+    for kind in CONTENT_KINDS | ATTACHMENT_KINDS:
+        assert f'"{kind}"' in text
+    assert "link_text: string;" in text and "reference?: string;" in text
 
 
 def test_parse_golden_record_file():
@@ -70,6 +79,21 @@ def test_bad_field_type_string():
     value = clean_record_json()
     value["header"]["name"]["type"] = ["string"]
     assert ("BAD_FIELD_TYPE", "header.name.type") in _codes(parse_record(value))
+
+
+def test_nested_type_list_is_a_bad_field_type():
+    value = clean_record_json()
+    value["header"]["name"]["type"] = [["text"], {"t": 1}]
+    codes = _codes(parse_record(value))
+    assert codes.count(("BAD_FIELD_TYPE", "header.name.type")) == 2
+
+
+def test_list_attachment_kind_is_a_bad_field_type():
+    value = clean_record_json()
+    attachment = {"name": "BOM sheet", "kind": ["BOM"]}
+    value["steps"][0]["content"].append({"type": "attachments", "text": "", "attachment": attachment})
+    path = "steps[0].content[4].attachment.kind"
+    assert ("BAD_FIELD_TYPE", path) in _codes(parse_record(value))
 
 
 def test_bad_content_kind():

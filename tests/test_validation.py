@@ -119,6 +119,13 @@ def test_compliance_pass_fail_values():
         assert ("BAD_PASSFAIL" in codes) is expect_error
 
 
+def test_compliance_list_pass_fail_value_is_reported():
+    raw = clean_record_json()
+    raw["steps"][1]["step_type"]["value"] = ["pass"]
+    codes = [i.code for i in validate_compliance(parse_record(raw))]
+    assert "BAD_PASSFAIL" in codes
+
+
 def test_validate_all_short_circuits_on_malformed_json():
     report = validate_all('{"steps": [,]}')
     assert not report.passed
