@@ -14,9 +14,7 @@ import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from typing import Any, Mapping, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Any, Mapping, Protocol
 
 from .chunker import Chunk
 from .ingest import SourceDocument
@@ -27,6 +25,9 @@ from .issues import (
     issue_warning,
 )
 from .schema import BmrRecord, parse_record
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -304,6 +305,10 @@ class HttpChatBackend:
     generation parameters; expects one text completion back. The bearer token
     is read from the environment variable named in the configuration.
     Transport errors are retried up to ``transport_retries`` times.
+
+    ``requests`` is imported in ``__init__`` and ``complete``, not at module
+    level: it is the slowest import in the package and only this backend
+    needs it, so runs on other backends never load it.
     """
 
     def __init__(
@@ -314,6 +319,8 @@ class HttpChatBackend:
         transport_retries: int = 2,
         session: requests.Session | None = None,
     ) -> None:
+        import requests
+
         self.endpoint = endpoint
         self.auth_env = auth_env
         self.timeout = timeout
@@ -321,6 +328,8 @@ class HttpChatBackend:
         self._session = session or requests.Session()
 
     def complete(self, prompt: str, model: str, params: Mapping[str, Any]) -> str:
+        import requests
+
         headers = {}
         token = os.environ.get(self.auth_env, "") if self.auth_env else ""
         if token:

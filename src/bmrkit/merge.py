@@ -184,11 +184,15 @@ def merge_chunk_results(
 # --------------------------------------------------------------------------
 # Cross-reference resolution
 
-FIGURE_REF_RE = re.compile(r"\bsee\s+figure\s+(\d+)", re.IGNORECASE)
-TABLE_REF_RE = re.compile(r"\b(?:see|refer\s+to)\s+table\s+(\d+)", re.IGNORECASE)
-STEP_REF_RE = re.compile(r"\bsee\s+step\s+(\d+)", re.IGNORECASE)
-DOC_CODE_RE = re.compile(r"\b[A-Z]{2,4}-\d{4,6}(?![-\d])")
-UNRESOLVABLE_NOTE_RE = re.compile(r"\bas\s+per\s+(?:the\s+)?above\b[\w\s]*", re.IGNORECASE)
+# Each pattern starts with a literal or a one-letter lookahead and only then
+# tests the word boundary, so the scan skips positions that cannot start a
+# match; a leading \b would be tried at every position. `see(?<!\wsee)`
+# matches where `\bsee` does: the lookbehind adds only the character before.
+FIGURE_REF_RE = re.compile(r"see(?<!\wsee)\s+figure\s+(\d+)", re.IGNORECASE)
+TABLE_REF_RE = re.compile(r"(?=[sSrR])\b(?:see|refer\s+to)\s+table\s+(\d+)", re.IGNORECASE)
+STEP_REF_RE = re.compile(r"see(?<!\wsee)\s+step\s+(\d+)", re.IGNORECASE)
+DOC_CODE_RE = re.compile(r"(?=[A-Z])\b[A-Z]{2,4}-\d{4,6}(?![-\d])")
+UNRESOLVABLE_NOTE_RE = re.compile(r"as(?<!\was)\s+per\s+(?:the\s+)?above\b[\w\s]*", re.IGNORECASE)
 
 
 def detect_reference_texts(text: str) -> list[str]:
@@ -232,7 +236,8 @@ def resolve_cross_references(
             path = f"steps[{i}].content[{j}]"
             texts = [content.text] + list(content.items or [])
             for text in texts:
-                if not text:
+                # parse_record accepts list items of any JSON type.
+                if not isinstance(text, str) or not text:
                     continue
                 for m in FIGURE_REF_RE.finditer(text):
                     ordinal = int(m.group(1))

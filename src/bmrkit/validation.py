@@ -331,7 +331,8 @@ def validate_compliance(
     return issues
 
 
-def _looks_numeric(value: Any, limits: str) -> bool:
+def _looks_numeric(value: Any, limits: Any) -> bool:
+    # limits is any JSON value the record carried, not only a string.
     if isinstance(value, (int, float)):
         return True
     if isinstance(value, str):
@@ -340,7 +341,7 @@ def _looks_numeric(value: Any, limits: str) -> bool:
             return True
         except ValueError:
             pass
-    return value is None and any(ch.isdigit() for ch in limits)
+    return value is None and any(ch.isdigit() for ch in str(limits))
 
 
 # --------------------------------------------------------------------------

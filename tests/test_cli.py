@@ -74,6 +74,25 @@ def test_process_exit_1_on_dangling_reference(tmp_path, monkeypatch):
     assert any(i["code"] == "DANGLING_REF" for i in report["issues"])
 
 
+def test_process_survives_non_string_list_items(tmp_path, monkeypatch):
+    reply = clean_record_json()
+    reply["steps"][0]["content"][0]["items"] = [1, 2]
+    monkeypatch.setattr(
+        cli, "_make_backend", lambda cfg: ScriptedBackend([wrap_json(reply)])
+    )
+    code = run(
+        [
+            "process", SAMPLE_BMR,
+            "--out", tmp_path / "r.json",
+            "--report-out", tmp_path / "v.json",
+            "--metrics-out", tmp_path / "m.json",
+        ]
+    )
+    assert code in (0, 1)
+    record = json.loads((tmp_path / "r.json").read_text())
+    assert record["steps"][0]["content"][0]["items"] == [1, 2]
+
+
 def test_process_exit_2_when_backend_unreachable(tmp_path):
     code = run(
         [
@@ -149,6 +168,17 @@ def test_validate_nested_type_list(tmp_path, capsys):
     path.write_text(json.dumps(value))
     assert run(["validate", path]) == 1
     assert "BAD_FIELD_TYPE" in capsys.readouterr().out
+
+
+def test_validate_numeric_limits_without_unit(tmp_path, capsys):
+    value = clean_record_json()
+    form_field = value["steps"][0]["content"][1]["fields"][0]
+    form_field.update(value=None, limits=5)
+    del form_field["unit"]
+    path = tmp_path / "numeric_limits.json"
+    path.write_text(json.dumps(value))
+    assert run(["validate", path]) == 0
+    assert "UNITLESS_LIMIT" in capsys.readouterr().out
 
 
 def test_score_identity_fixture(tmp_path, capsys):

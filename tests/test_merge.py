@@ -1,7 +1,11 @@
 from __future__ import annotations
 
-import pytest
+import re
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from bmrkit import merge
 from bmrkit.extraction import ChunkResult
 from bmrkit.merge import (
     CHUNK_MISSING,
@@ -153,6 +157,55 @@ def test_detect_reference_patterns():
 
 def test_batch_codes_with_extra_digit_groups_are_not_references():
     assert detect_reference_texts("Batch AT-2024-0156 released") == []
+
+
+# The reference patterns as first written, each opening with \b; the
+# rewrites in merge.py must find exactly what these find.
+BOUNDARY_FIRST_PATTERNS = {
+    "FIGURE_REF_RE": re.compile(r"\bsee\s+figure\s+(\d+)", re.IGNORECASE),
+    "TABLE_REF_RE": re.compile(r"\b(?:see|refer\s+to)\s+table\s+(\d+)", re.IGNORECASE),
+    "STEP_REF_RE": re.compile(r"\bsee\s+step\s+(\d+)", re.IGNORECASE),
+    "DOC_CODE_RE": re.compile(r"\b[A-Z]{2,4}-\d{4,6}(?![-\d])"),
+    "UNRESOLVABLE_NOTE_RE": re.compile(
+        r"\bas\s+per\s+(?:the\s+)?above\b[\w\s]*", re.IGNORECASE
+    ),
+}
+
+# Reference phrases in several cases and spacings, each between neighbours
+# that test the word boundary: "_" and digits are word characters, "\u017f"
+# (long s) matches "s" under IGNORECASE, "\u212a" (Kelvin sign) matches "k",
+# and "\u0130" lower-cases to two characters.
+reference_pieces = st.tuples(
+    st.sampled_from(("", " ", "\n", "x", "X", "_", "1", "-", "\u017f", "\u212a", "\u0130")),
+    st.sampled_from(
+        (
+            "see figure", "See  Figure", "SEE\tFIGURE", "\u017fee figure",
+            "see table", "refer to table", "Refer\nTo TABLE", "see step",
+            "See Step", "\u017fEE STEP", "as per above", "As per the above",
+            "AS PER THE ABOVE", "as per above procedure", "as", "see", "per",
+            "SOP-1234", "AB-12345", "QCPX-123456", "A-1234", "ABCDE-1234",
+            "SOP-1234-5", "SOP-",
+        )
+    ),
+    st.sampled_from(("", " 1", " 42", "1", " x", "_", " \u017f", " \u212a", "\u0130")),
+).map("".join)
+reference_texts = st.lists(reference_pieces, max_size=5).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(reference_texts)
+def test_reference_patterns_match_boundary_first_forms(text):
+    for name, reference in BOUNDARY_FIRST_PATTERNS.items():
+        rewritten = getattr(merge, name)
+        assert [(m.start(), m.group(0)) for m in rewritten.finditer(text)] == [
+            (m.start(), m.group(0)) for m in reference.finditer(text)
+        ], name
+
+
+def test_non_string_list_items_are_skipped():
+    record = _record(**{"steps/0/content/0/items": [1, "See step 2", None, 2.5]})
+    _, refs = resolve_cross_references(record)
+    assert [(r.ref_text, r.target_path) for r in refs] == [("See step 2", "steps[1]")]
 
 
 def test_no_references_yields_empty_list(golden_record):
