@@ -89,13 +89,3 @@ def scan_image_markers(text: str) -> tuple[list[ImageMarker], int]:
             malformed += 1
         pos = close + 1
     return markers, malformed
-
-
-def find_image_markers(doc: SourceDocument) -> list[ImageMarker]:
-    """All well-formed image markers in the document, sorted by offset."""
-    return scan_image_markers(doc.text)[0]
-
-
-def count_malformed_image_markers(doc: SourceDocument) -> int:
-    """Number of unclosed or empty image markers (tolerated, never fatal)."""
-    return scan_image_markers(doc.text)[1]

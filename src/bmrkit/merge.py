@@ -234,11 +234,7 @@ def resolve_cross_references(
     for i, step in enumerate(record.steps):
         for j, content in enumerate(step.content):
             path = f"steps[{i}].content[{j}]"
-            texts = [content.text] + list(content.items or [])
-            for text in texts:
-                # parse_record accepts list items of any JSON type.
-                if not isinstance(text, str) or not text:
-                    continue
+            for text in [content.text, *(content.items or [])]:
                 for m in FIGURE_REF_RE.finditer(text):
                     ordinal = int(m.group(1))
                     target = (

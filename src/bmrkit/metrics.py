@@ -25,6 +25,7 @@ rather than by scanning the record.
 
 from __future__ import annotations
 
+import json
 import math
 import re
 import sys
@@ -184,14 +185,12 @@ def iter_record_strings(record: BmrRecord) -> Iterator[str]:
 def _content_strings(content: Content) -> Iterator[str]:
     if content.text:
         yield content.text
-    for item in content.items or []:
-        if isinstance(item, str):
-            yield item
+    yield from content.items or []
     for form_field in content.fields or []:
         yield form_field.label
-        for value in (form_field.value, form_field.unit, form_field.limits, form_field.notes):
-            if isinstance(value, str):
-                yield value
+        if isinstance(form_field.value, str):
+            yield form_field.value
+        yield from filter(None, (form_field.unit, form_field.limits, form_field.notes))
     if content.calculation is not None:
         calc = content.calculation
         yield calc.formula
@@ -209,25 +208,19 @@ def _content_strings(content: Content) -> Iterator[str]:
                 yield calc.result.value
             if calc.result.unit:
                 yield calc.result.unit
-    for header in content.headers or []:
-        if isinstance(header, str):
-            yield header
+    yield from content.headers or []
     for row in content.rows or []:
         for cell in row:
             if isinstance(cell, str):
                 yield cell
     if content.link is not None:
-        text = content.link.get("link_text")
-        if isinstance(text, str):
-            yield text
-        url = content.link.get("url")
-        if isinstance(url, str) and not url.startswith("#"):
-            yield url
+        yield content.link["link_text"]
+        if not content.link["url"].startswith("#"):
+            yield content.link["url"]
     if content.attachment is not None:
-        for key in ("name", "reference"):
-            value = content.attachment.get(key)
-            if isinstance(value, str):
-                yield value
+        yield content.attachment["name"]
+        if content.attachment.get("reference"):
+            yield content.attachment["reference"]
 
 
 def _iter_contents(record: BmrRecord) -> Iterator[Content]:
@@ -548,8 +541,8 @@ def _cross_reference_integrity(rec: RecordIndex) -> float:
     resolved, total = rec.parent_links
     for content in _iter_contents(rec.record):
         if content.link is not None:
-            url = content.link.get("url", "")
-            if isinstance(url, str) and url.startswith("#"):
+            url = content.link["url"]
+            if url.startswith("#"):
                 total += 1
                 resolved += _target_exists(rec.record, url[1:])
     return 100.0 if total == 0 else 100.0 * resolved / total
@@ -750,7 +743,7 @@ def table_preservation(source: SourceDocument, record: BmrRecord) -> float:
         return 100.0
     text_key = _Tokenizer().key
     record_headers = [
-        {text_key(h) for h in (c.headers or []) if isinstance(h, str)}
+        {text_key(h) for h in c.headers or []}
         for c in _iter_contents(record)
         if c.kind == "table"
     ]
@@ -782,9 +775,10 @@ def image_preservation(source: SourceDocument, record: BmrRecord) -> float:
 
 
 def unique_step_types(record: BmrRecord) -> int:
-    """Count of distinct non-null step_type values."""
+    """Count of distinct non-null step_type values, compared as JSON text so
+    that list and object values count too."""
     values = {
-        step.step_type.value
+        json.dumps(step.step_type.value, sort_keys=True)
         for step in record.steps
         if step.step_type.value is not None
     }

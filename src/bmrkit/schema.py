@@ -311,6 +311,22 @@ class _Parser:
     def error(self, path: str, code: str, message: str) -> None:
         self.issues.append(issue_error(LAYER_STRUCTURAL, path, code, message))
 
+    def string(self, slot: Any, path: str, required: bool = True) -> None:
+        """BAD_FIELD_TYPE unless ``slot`` holds a string, or null when optional."""
+        if not (isinstance(slot, str) or (slot is None and not required)):
+            self.error(path, BAD_FIELD_TYPE, f"expected a string, got {slot!r:.40}")
+
+    def strings(self, value: dict, path: str, required: tuple = (), optional: tuple = ()) -> None:
+        """The one rule for the members of ``value`` the schema types as
+        ``string``: a missing required one is MISSING_FIELD, one holding
+        another JSON type is BAD_FIELD_TYPE, and an optional one may be
+        missing or null."""
+        for key in required + optional:
+            if key in value:
+                self.string(value[key], join_path(path, key), key in required)
+            elif key in required:
+                self.error(join_path(path, key), MISSING_FIELD, "missing a required string")
+
     def field(self, value: Any, path: str) -> Field:
         if not isinstance(value, dict):
             self.error(path, MISSING_FIELD, "expected a field object")
@@ -339,16 +355,15 @@ class _Parser:
         if not isinstance(value, dict):
             self.error(path, MISSING_FIELD, "expected a form field object")
             return FormField(label="")
-        label = value.get("label")
-        if not isinstance(label, str) or not label:
+        self.strings(value, path, required=("label",), optional=("unit", "limits", "notes"))
+        if value.get("label") == "":
             self.error(join_path(path, "label"), MISSING_FIELD, "form field needs a label")
-            label = ""
         if "value" not in value:
             self.error(join_path(path, "value"), MISSING_FIELD, "form field is missing its value")
         known = ("label", "value", "unit", "limits", "notes")
         extra = {k: v for k, v in value.items() if k not in known}
         return FormField(
-            label=label,
+            label=value.get("label"),
             value=value.get("value"),
             unit=value.get("unit"),
             limits=value.get("limits"),
@@ -360,21 +375,14 @@ class _Parser:
         if not isinstance(value, dict):
             self.error(path, MISSING_FIELD, "expected a variable object")
             return Variable(name="", description="")
-        name = value.get("name")
-        if not isinstance(name, str) or not name:
+        self.strings(value, path, required=("name", "description"), optional=("unit",))
+        if value.get("name") == "":
             self.error(join_path(path, "name"), MISSING_FIELD, "variable needs a name")
-            name = ""
-        description = value.get("description")
-        if not isinstance(description, str):
-            self.error(
-                join_path(path, "description"), MISSING_FIELD, "variable needs a description"
-            )
-            description = ""
         known = ("name", "description", "value", "unit")
         extra = {k: v for k, v in value.items() if k not in known}
         return Variable(
-            name=name,
-            description=description,
+            name=value.get("name"),
+            description=value.get("description"),
             value=value.get("value"),
             unit=value.get("unit"),
             extra=extra,
@@ -384,10 +392,7 @@ class _Parser:
         if not isinstance(value, dict):
             self.error(path, MISSING_FIELD, "expected a calculation object")
             return Calculation(formula="")
-        formula = value.get("formula")
-        if not isinstance(formula, str):
-            self.error(join_path(path, "formula"), MISSING_FIELD, "calculation needs a formula")
-            formula = ""
+        self.strings(value, path, required=("formula",), optional=("notes",))
         raw_vars = value.get("variables")
         if not isinstance(raw_vars, list):
             self.error(
@@ -404,6 +409,7 @@ class _Parser:
             if not isinstance(raw_result, dict) or "value" not in raw_result:
                 self.error(join_path(path, "result"), MISSING_FIELD, "result needs a value")
             else:
+                self.strings(raw_result, join_path(path, "result"), optional=("unit",))
                 result_extra = {
                     k: v for k, v in raw_result.items() if k not in ("value", "unit")
                 }
@@ -415,7 +421,7 @@ class _Parser:
         known = ("formula", "variables", "result", "notes")
         extra = {k: v for k, v in value.items() if k not in known}
         return Calculation(
-            formula=formula,
+            formula=value.get("formula"),
             variables=variables,
             result=result,
             notes=value.get("notes"),
@@ -435,10 +441,7 @@ class _Parser:
                 join_path(path, "type"), BAD_CONTENT_KIND, f"unknown content kind {kind!r}"
             )
             kind = "paragraph"
-        text = value.get("text")
-        if not isinstance(text, str):
-            self.error(join_path(path, "text"), MISSING_FIELD, "content needs a text string")
-            text = ""
+        self.strings(value, path, required=("text",))
 
         items = value.get("items")
         if items is not None and not isinstance(items, list):
@@ -463,16 +466,33 @@ class _Parser:
         if headers is not None and not isinstance(headers, list):
             self.error(join_path(path, "headers"), MISSING_FIELD, "headers must be a list")
             headers = None
+        for key, entries in (("items", items), ("headers", headers)):
+            for i, entry in enumerate(entries or []):
+                self.string(entry, f"{join_path(path, key)}[{i}]")
         rows = value.get("rows")
         if rows is not None and not isinstance(rows, list):
             self.error(join_path(path, "rows"), MISSING_FIELD, "rows must be a list")
             rows = None
+        for i, row in enumerate(rows or []):
+            row_path = f"{join_path(path, 'rows')}[{i}]"
+            if not isinstance(row, list):
+                self.error(row_path, BAD_FIELD_TYPE, "row must be a list")
+            elif kind == "table" and headers is not None and len(row) != len(headers):
+                message = f"row width differs from {len(headers)} header columns"
+                self.error(row_path, ROW_WIDTH_MISMATCH, message)
         link = value.get("link")
-        if link is not None and not isinstance(link, dict):
+        if isinstance(link, dict):
+            self.strings(link, join_path(path, "link"), required=("link_text", "url"))
+        elif link is not None:
             self.error(join_path(path, "link"), MISSING_FIELD, "link must be an object")
             link = None
         attachment = value.get("attachment")
-        if attachment is not None and not isinstance(attachment, dict):
+        if isinstance(attachment, dict):
+            self.strings(
+                attachment, join_path(path, "attachment"), required=("name",),
+                optional=("reference",),
+            )
+        elif attachment is not None:
             self.error(
                 join_path(path, "attachment"), MISSING_FIELD, "attachment must be an object"
             )
@@ -482,14 +502,6 @@ class _Parser:
         if kind == "table":
             if headers is None:
                 self.error(join_path(path, "headers"), MISSING_FIELD, "table needs headers")
-            elif rows is not None:
-                for i, row in enumerate(rows):
-                    if not isinstance(row, list) or len(row) != len(headers):
-                        self.error(
-                            f"{join_path(path, 'rows')}[{i}]",
-                            ROW_WIDTH_MISMATCH,
-                            f"row width differs from {len(headers)} header columns",
-                        )
         elif kind == "data_form":
             if not fields:
                 self.error(
@@ -506,12 +518,10 @@ class _Parser:
             if items is None:
                 self.error(join_path(path, "items"), MISSING_FIELD, f"{kind} needs items")
         elif kind == "link":
-            if link is None or "link_text" not in link or "url" not in link:
-                self.error(
-                    join_path(path, "link"), MISSING_FIELD, "link content needs link_text and url"
-                )
+            if link is None:
+                self.error(join_path(path, "link"), MISSING_FIELD, "link content needs a link")
         elif kind == "attachments":
-            if attachment is None or "name" not in attachment:
+            if attachment is None:
                 self.error(
                     join_path(path, "attachment"),
                     MISSING_FIELD,
@@ -540,7 +550,7 @@ class _Parser:
         extra = {k: v for k, v in value.items() if k not in known}
         return Content(
             kind=kind,
-            text=text,
+            text=value.get("text"),
             items=items,
             fields=fields,
             calculation=calculation,
@@ -644,9 +654,16 @@ def parse_record(value: Any) -> BmrRecord | list[ValidationIssue]:
     """Parse generic JSON into a typed record, or return every issue found.
 
     Shape problems (missing members, bad type strings, malformed ids, ragged
-    table rows) are all reported with record paths. Uniqueness and reference
-    resolution are deliberately left to the structural validator so that layer
-    can report them on an otherwise parseable record.
+    table rows) are all reported with record paths. Every slot the schema
+    prompt types as ``string``, and every entry of a ``string[]``, follows one
+    rule: a missing required slot is MISSING_FIELD, a slot holding another
+    JSON type is BAD_FIELD_TYPE, and an optional slot may be missing or null.
+    So each such slot of a returned record holds a string, or None when it is
+    optional, and no consumer needs a type guard of its own. A form field's
+    value is the one exception: it is read, like every ``any`` slot, as
+    whatever JSON value it holds. Uniqueness and reference resolution are
+    deliberately left to the structural validator so that layer can report
+    them on an otherwise parseable record.
     """
     p = _Parser()
     if not isinstance(value, dict):
@@ -733,6 +750,7 @@ class Header {
     }
 }
 
+// A string slot or string[] entry holds a JSON string; an optional (?) slot may be null or absent.
 class Content {
     type: "paragraph" | "bullet_list" | "numbered_list" |
           "note" | "warning" | "instruction" | "data_form" |

@@ -331,8 +331,7 @@ def validate_compliance(
     return issues
 
 
-def _looks_numeric(value: Any, limits: Any) -> bool:
-    # limits is any JSON value the record carried, not only a string.
+def _looks_numeric(value: Any, limits: str) -> bool:
     if isinstance(value, (int, float)):
         return True
     if isinstance(value, str):
@@ -341,7 +340,7 @@ def _looks_numeric(value: Any, limits: Any) -> bool:
             return True
         except ValueError:
             pass
-    return value is None and any(ch.isdigit() for ch in str(limits))
+    return value is None and any(ch.isdigit() for ch in limits)
 
 
 # --------------------------------------------------------------------------

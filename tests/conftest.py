@@ -210,6 +210,10 @@ def _seed_bad_field_type(r):
     r["header"]["name"]["type"] = ["string"]
 
 
+def _seed_wrong_typed_string(r):
+    r["steps"][0]["content"][1]["fields"][0]["unit"] = 5
+
+
 def _seed_bad_content_kind(r):
     r["steps"][0]["content"][0]["type"] = "tabl"
 
@@ -295,6 +299,7 @@ def _seed_bad_id_format(r):
 SEEDED_FAULTS = [
     ("JSON_MALFORMED", "syntactic", "error", "", lambda: '{"header": 1,}'),
     ("BAD_FIELD_TYPE", "syntactic", "error", "header.name.type", _mutate(_seed_bad_field_type)),
+    ("BAD_FIELD_TYPE", "structural", "error", "steps[0].content[1].fields[0].unit", _mutate(_seed_wrong_typed_string)),
     ("BAD_CONTENT_KIND", "syntactic", "error", "steps[0].content[0].type", _mutate(_seed_bad_content_kind)),
     ("ROW_WIDTH_MISMATCH", "syntactic", "error", "steps[0].content[3].rows[0]", _mutate(_seed_row_width)),
     ("CODE_SYNTAX_RESIDUE", "syntactic", "error", "", _mutate(_seed_residue)),

@@ -75,11 +75,11 @@ def test_process_exit_1_on_dangling_reference(tmp_path, monkeypatch):
 
 
 def test_process_survives_non_string_list_items(tmp_path, monkeypatch):
+    """The reply is rejected at parse and its issues go into the repair prompt."""
     reply = clean_record_json()
     reply["steps"][0]["content"][0]["items"] = [1, 2]
-    monkeypatch.setattr(
-        cli, "_make_backend", lambda cfg: ScriptedBackend([wrap_json(reply)])
-    )
+    backend = ScriptedBackend([wrap_json(reply), wrap_json(clean_record_json())])
+    monkeypatch.setattr(cli, "_make_backend", lambda cfg: backend)
     code = run(
         [
             "process", SAMPLE_BMR,
@@ -89,8 +89,9 @@ def test_process_survives_non_string_list_items(tmp_path, monkeypatch):
         ]
     )
     assert code in (0, 1)
+    assert "- BAD_FIELD_TYPE at steps[0].content[0].items[0]" in backend.prompts[1]
     record = json.loads((tmp_path / "r.json").read_text())
-    assert record["steps"][0]["content"][0]["items"] == [1, 2]
+    assert "items" not in record["steps"][0]["content"][0]
 
 
 def test_process_exit_2_when_backend_unreachable(tmp_path):
@@ -177,8 +178,11 @@ def test_validate_numeric_limits_without_unit(tmp_path, capsys):
     del form_field["unit"]
     path = tmp_path / "numeric_limits.json"
     path.write_text(json.dumps(value))
-    assert run(["validate", path]) == 0
-    assert "UNITLESS_LIMIT" in capsys.readouterr().out
+    assert run(["validate", path]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [(i["code"], i["path"]) for i in report["issues"]] == [
+        ("BAD_FIELD_TYPE", "steps[0].content[1].fields[0].limits")
+    ]
 
 
 def test_score_identity_fixture(tmp_path, capsys):

@@ -6,9 +6,6 @@ from hypothesis import given, strategies as st
 from bmrkit.ingest import (
     DecodeError,
     ReadError,
-    SourceDocument,
-    count_malformed_image_markers,
-    find_image_markers,
     load_markdown,
     scan_image_markers,
 )
@@ -68,38 +65,31 @@ def test_load_is_idempotent(tmp_path):
 
 
 def test_no_markers_in_plain_text():
-    doc = SourceDocument.from_text("abc")
-    assert find_image_markers(doc) == []
+    assert scan_image_markers("abc") == ([], 0)
 
 
 def test_single_marker_inner_text(golden_doc):
-    markers = find_image_markers(golden_doc)
+    markers, malformed = scan_image_markers(golden_doc.text)
     assert len(markers) == 1
+    assert malformed == 0
     assert markers[0].inner_text.startswith("Screening setup diagram showing")
 
 
 def test_two_markers_scan_left_to_right():
-    doc = SourceDocument.from_text("[Image Text: a] x [Image Text: b]")
-    markers = find_image_markers(doc)
+    markers, _ = scan_image_markers("[Image Text: a] x [Image Text: b]")
     assert [m.inner_text for m in markers] == ["a", "b"]
 
 
 def test_unclosed_marker_counted_not_fatal():
-    doc = SourceDocument.from_text("ok [Image Text: never closed")
-    assert find_image_markers(doc) == []
-    assert count_malformed_image_markers(doc) == 1
+    assert scan_image_markers("ok [Image Text: never closed") == ([], 1)
 
 
 def test_empty_marker_counted_as_malformed():
-    doc = SourceDocument.from_text("[Image Text:   ]")
-    markers, malformed = scan_image_markers(doc.text)
-    assert markers == []
-    assert malformed == 1
+    assert scan_image_markers("[Image Text:   ]") == ([], 1)
 
 
 def test_marker_may_span_lines():
-    doc = SourceDocument.from_text("[Image Text: one\ntwo]")
-    (marker,) = find_image_markers(doc)
+    (marker,), _ = scan_image_markers("[Image Text: one\ntwo]")
     assert marker.inner_text == "one\ntwo"
 
 

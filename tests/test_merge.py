@@ -203,9 +203,14 @@ def test_reference_patterns_match_boundary_first_forms(text):
 
 
 def test_non_string_list_items_are_skipped():
-    record = _record(**{"steps/0/content/0/items": [1, "See step 2", None, 2.5]})
-    _, refs = resolve_cross_references(record)
-    assert [(r.ref_text, r.target_path) for r in refs] == [("See step 2", "steps[1]")]
+    """They never reach the resolver: parse_record rejects each one."""
+    value = clean_record_json()
+    value["steps"][0]["content"][0]["items"] = [1, "See step 2", None, 2.5]
+    assert [(i.code, i.path) for i in parse_record(value)] == [
+        ("BAD_FIELD_TYPE", "steps[0].content[0].items[0]"),
+        ("BAD_FIELD_TYPE", "steps[0].content[0].items[2]"),
+        ("BAD_FIELD_TYPE", "steps[0].content[0].items[3]"),
+    ]
 
 
 def test_no_references_yields_empty_list(golden_record):

@@ -1,9 +1,14 @@
 from __future__ import annotations
 
 import json
+import tempfile
+from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import bmrkit.cli as cli
+from bmrkit.merge import resolve_cross_references
+from bmrkit.metrics import compute_metrics
 from bmrkit.schema import (
     ATTACHMENT_KINDS,
     CONTENT_KINDS,
@@ -12,8 +17,9 @@ from bmrkit.schema import (
     schema_prompt_text,
     serialize_record,
 )
+from bmrkit.validation import validate_all
 
-from conftest import SAMPLE_RECORD, clean_record_json
+from conftest import SAMPLE_BMR, SAMPLE_RECORD, ScriptedBackend, clean_record_json, wrap_json
 
 
 def test_schema_text_mentions_header_class():
@@ -245,3 +251,81 @@ def test_round_trip_preserves_valid_records(value):
     again = parse_record(json.loads(json.dumps(serialize_record(record))))
     assert isinstance(again, BmrRecord)
     assert serialize_record(again) == value
+
+
+# --------------------------------------------------------------------------
+# The typed boundary: one wrongly typed slot never crashes a consumer
+
+
+def _full_golden_record() -> dict:
+    """The golden record plus a form-field note, a link and an attachment, so
+    that every slot the schema gives content exists."""
+    value = json.loads(SAMPLE_RECORD.read_text(encoding="utf-8"))
+    content = value["steps"][0]["content"]
+    content[1]["fields"][0]["notes"] = "Weigh twice"
+    content.append(
+        {"type": "link", "text": "Policy", "link": {"link_text": "SOP-1234", "url": "https://x"}}
+    )
+    content.append(
+        {
+            "type": "attachments",
+            "text": "Parts",
+            "attachment": {"kind": "BOM", "name": "parts.pdf", "reference": "BOM-7"},
+        }
+    )
+    return value
+
+
+def _slots(value, path=()):
+    """The path of every member and list entry below ``value``, ids excepted."""
+    children = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in children:
+        if key not in ("id", "phase_id", "group_id"):
+            yield path + (key,)
+            if isinstance(child, (dict, list)):
+                yield from _slots(child, path + (key,))
+
+
+_SLOTS = list(_slots(_full_golden_record()))
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+    ),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(path=st.sampled_from(_SLOTS), new=_json_values)
+@example(path=("steps", 0, "content", 1, "fields", 0, "unit"), new=5)
+@example(path=("steps", 2, "content", 2, "calculation", "notes"), new=5)
+@example(path=("steps", 2, "content", 2, "calculation", "result", "unit"), new=[])
+@example(path=("steps", 0, "step_type", "value"), new=[])
+@example(path=("steps", 1, "content", 0, "rows"), new=["ab", 5])
+def test_one_wrongly_typed_slot_never_crashes_a_consumer(golden_doc, path, new):
+    # The base record has every slot the schema gives content.
+    assert {
+        "items", "label", "unit", "limits", "notes", "formula", "description",
+        "result", "headers", "rows", "link_text", "url", "kind", "reference",
+    } <= {slot[-1] for slot in _SLOTS}
+    value = _full_golden_record()
+    node = value
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = new
+    parsed = parse_record(value)
+    if isinstance(parsed, list):
+        assert parsed
+        return
+    record, refs = resolve_cross_references(parsed)
+    validate_all(json.dumps(serialize_record(record)), refs=refs)
+    compute_metrics(golden_doc, record, refs=refs)
+    backend = ScriptedBackend([wrap_json(value)])
+    with tempfile.TemporaryDirectory() as out, mock.patch.object(
+        cli, "_make_backend", lambda cfg: backend
+    ):
+        argv = ["process", str(SAMPLE_BMR)]
+        for flag in ("--out", "--report-out", "--metrics-out"):
+            argv += [flag, f"{out}/{flag[2:]}.json"]
+        assert cli.main(argv) in (0, 1)

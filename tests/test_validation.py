@@ -128,14 +128,18 @@ def test_compliance_list_pass_fail_value_is_reported():
 
 @pytest.mark.parametrize("limits", [5, 5.5, "5", [10, 14]])
 def test_unitless_numeric_limits_warn_whatever_their_json_type(limits):
+    """String limits without a unit warn; limits of another JSON type are
+    rejected at parse."""
     raw = clean_record_json()
     form_field = raw["steps"][0]["content"][1]["fields"][0]
     form_field.update(value=None, limits=limits)
     del form_field["unit"]
-    issues = validate_compliance(parse_record(raw))
-    assert [(i.code, i.path) for i in issues] == [
-        ("UNITLESS_LIMIT", "steps[0].content[1].fields[0]")
-    ]
+    issues = validate_all(json.dumps(raw)).issues
+    if isinstance(limits, str):
+        expected = ("UNITLESS_LIMIT", "steps[0].content[1].fields[0]")
+    else:
+        expected = ("BAD_FIELD_TYPE", "steps[0].content[1].fields[0].limits")
+    assert [(i.code, i.path) for i in issues] == [expected]
 
 
 def test_validate_all_short_circuits_on_malformed_json():
