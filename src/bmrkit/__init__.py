@@ -11,7 +11,7 @@ from .extraction import ExtractionConfig, HttpChatBackend, run_parallel
 from .ingest import SourceDocument, load_markdown
 from .merge import merge_chunk_results, resolve_cross_references
 from .metrics import MetricsReport, WeightVector, compute_metrics
-from .mock_backend import MockBackend, mock_extract
+from .mock_backend import MockBackend
 from .schema import BmrRecord, parse_record, schema_prompt_text, serialize_record
 from .validation import ValidationReport, validate_all
 
@@ -33,7 +33,6 @@ __all__ = [
     "compute_metrics",
     "load_markdown",
     "merge_chunk_results",
-    "mock_extract",
     "parse_record",
     "resolve_cross_references",
     "run_parallel",

@@ -15,7 +15,7 @@ import json
 import logging
 import sys
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields as dc_fields
 from pathlib import Path
 
 from .chunker import ChunkingConfig, WordTokenizer, chunk_text_by_tokens
@@ -26,6 +26,7 @@ from .extraction import (
     run_parallel,
 )
 from .ingest import DecodeError, ReadError, load_markdown
+from .issues import ValidationIssue
 from .merge import EmptyMergeError, merge_chunk_results, resolve_cross_references
 from .metrics import WeightVector, compute_metrics, render_metrics_table
 from .mock_backend import MockBackend
@@ -79,15 +80,7 @@ class RunSummary:
     composite_score: float
 
     def to_json(self) -> dict:
-        return {
-            "chunk_count": self.chunk_count,
-            "attempts_per_chunk": self.attempts_per_chunk,
-            "total_seconds": self.total_seconds,
-            "load_seconds": self.load_seconds,
-            "avg_chunk_seconds": self.avg_chunk_seconds,
-            "validation_passed": self.validation_passed,
-            "composite_score": self.composite_score,
-        }
+        return asdict(self)
 
 
 def _make_backend(cfg: PipelineConfig):
@@ -103,6 +96,12 @@ def _make_backend(cfg: PipelineConfig):
             transport_retries=cfg.transport_retries,
         )
     raise ValueError(f"unknown backend kind {cfg.backend!r}")
+
+
+def _print_issues(issues: list[ValidationIssue], indent: str) -> None:
+    for issue in issues:
+        where = f" at {issue.path}" if issue.path else ""
+        print(f"{indent}{issue.code}{where}: {issue.message}", file=sys.stderr)
 
 
 def _write_json(path: str, payload: dict | list) -> None:
@@ -153,6 +152,9 @@ def cmd_process(input_path: str, cfg: PipelineConfig) -> int:
         record, merge_issues = merge_chunk_results(results)
     except EmptyMergeError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        for result in results:
+            print(f"  chunk {result.index}: {result.failure}", file=sys.stderr)
+            _print_issues(result.issues, "    ")
         return EXIT_PIPELINE_FAILURE
     record, refs = resolve_cross_references(record)
 
@@ -249,8 +251,7 @@ def cmd_score(source_path: str, record_path: str, cfg: PipelineConfig) -> int:
         return EXIT_PIPELINE_FAILURE
     if isinstance(parsed, list):
         print("error: record does not parse against the schema", file=sys.stderr)
-        for issue in parsed:
-            print(f"  {issue.code} at {issue.path}: {issue.message}", file=sys.stderr)
+        _print_issues(parsed, "  ")
         return EXIT_PIPELINE_FAILURE
     record, refs = resolve_cross_references(parsed)
     metrics = compute_metrics(doc, record, refs=refs, weights=cfg.weights)
@@ -316,23 +317,12 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
         if getattr(args, "config", None)
         else PipelineConfig()
     )
-    for key in (
-        "max_tokens",
-        "hard_split_threshold",
-        "workers_cap",
-        "max_attempts",
-        "backend",
-        "endpoint",
-        "model",
-        "reprocess_threshold",
-        "metrics_out",
-        "out",
-        "report_out",
-        "summary_out",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            setattr(cfg, key, value)
+    # Each config field is overridden by the flag of the same dest; a field
+    # with no flag reads as None. --weights merges into the weights below.
+    for f in dc_fields(PipelineConfig):
+        value = getattr(args, f.name, None)
+        if f.name != "weights" and value is not None:
+            setattr(cfg, f.name, value)
     if getattr(args, "mock", False):
         cfg.backend = "mock"
     raw_weights = getattr(args, "weights", None)

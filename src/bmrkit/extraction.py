@@ -92,7 +92,6 @@ class ExtractionConfig:
     model: str = "bmr-extractor"
     max_attempts: int = 3
     workers_cap: int = 8
-    generation_params: dict = dc_field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
@@ -187,7 +186,7 @@ def process_single_chunk(
             prompt += _repair_section(prior_issues)
 
         try:
-            response = backend.complete(prompt, cfg.model, cfg.generation_params)
+            response = backend.complete(prompt, cfg.model, {})
         except Exception as exc:
             attempt_issues.append(
                 issue_error(LAYER_SYNTACTIC, "", BACKEND_ERROR, str(exc))

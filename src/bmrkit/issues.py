@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 LAYER_SYNTACTIC = "syntactic"
 LAYER_STRUCTURAL = "structural"
@@ -21,13 +21,7 @@ class ValidationIssue:
     message: str
 
     def to_json(self) -> dict:
-        return {
-            "layer": self.layer,
-            "severity": self.severity,
-            "path": self.path,
-            "code": self.code,
-            "message": self.message,
-        }
+        return asdict(self)
 
 
 def issue_error(layer: str, path: str, code: str, message: str) -> ValidationIssue:

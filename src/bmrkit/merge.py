@@ -9,7 +9,7 @@ against the assembled record.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import TYPE_CHECKING
 
 from .issues import (
@@ -51,12 +51,7 @@ class CrossReference:
     resolved: bool = False
 
     def to_json(self) -> dict:
-        return {
-            "source_path": self.source_path,
-            "ref_text": self.ref_text,
-            "target_path": self.target_path,
-            "resolved": self.resolved,
-        }
+        return asdict(self)
 
 
 def renumber_ids(

@@ -31,7 +31,7 @@ import re
 import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import dataclass, field as dc_field, fields as dc_fields
+from dataclasses import asdict, dataclass, field as dc_field
 from functools import cached_property
 from itertools import repeat
 from typing import Any, Iterator, NamedTuple
@@ -832,8 +832,7 @@ class MetricsReport:
     statuses: dict[str, str] = dc_field(default_factory=dict)
 
     def to_json(self) -> dict:
-        out = {f.name: getattr(self, f.name) for f in dc_fields(self)}
-        return out
+        return asdict(self)
 
 
 def status_for(score: float) -> str:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import re
 
-from .chunker import Chunk
 from .grammar import (
     BOILERPLATE_LABEL_RE,
     BULLET_RE,
@@ -258,11 +257,6 @@ def extract_markdown_record(text: str) -> BmrRecord:
         builder.emit(Content(kind="paragraph", text=line.strip()))
         i += 1
     return builder.finish()
-
-
-def mock_extract(chunk: Chunk) -> BmrRecord:
-    """Rule-based extraction of one chunk; deterministic, no model calls."""
-    return extract_markdown_record(chunk.text)
 
 
 _MBR_START = "- Manufacturing Batch Record: "

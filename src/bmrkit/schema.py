@@ -10,7 +10,7 @@ opaquely and re-emitted so nothing a backend produced is destroyed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from typing import Any
 
 from .issues import LAYER_STRUCTURAL, ValidationIssue, issue_error
@@ -38,15 +38,6 @@ CONTENT_KINDS = frozenset(
 
 ATTACHMENT_KINDS = frozenset({"BOM", "BOE", "other"})
 
-HEADER_KEYS = (
-    "completion_date",
-    "expiry_date",
-    "name",
-    "quantity",
-    "sku",
-    "start_date",
-)
-
 GROUP_ID_RE = re.compile(r"^group-[1-9]\d*$")
 PHASE_ID_RE = re.compile(r"^phase-[1-9]\d*$")
 STEP_ID_RE = re.compile(r"^step-[1-9]\d*$")
@@ -58,6 +49,19 @@ BAD_CONTENT_KIND = "BAD_CONTENT_KIND"
 ROW_WIDTH_MISMATCH = "ROW_WIDTH_MISMATCH"
 BAD_ID_FORMAT = "BAD_ID_FORMAT"
 
+# The model dataclasses below are the one declaration of the JSON members:
+# each field but ``extra`` is a member, written in field order under its own
+# name or the one in _JSON_NAMES. A member declared ``_optional()`` is left out
+# while it is None (``?`` in the schema prompt); any other None is written as
+# null. ``extra`` holds the members a backend sent that the model does not
+# declare; they are kept opaquely and written last.
+_JSON_NAMES = {"types": "type", "kind": "type"}
+
+
+def _optional() -> Any:
+    """A member that defaults to None and is left out of the JSON while None."""
+    return dc_field(default=None, metadata={"optional": True})
+
 
 @dataclass
 class Field:
@@ -66,11 +70,6 @@ class Field:
     types: list[str]
     value: Any = None
     extra: dict = dc_field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        out: dict = {"type": list(self.types), "value": self.value}
-        out.update(self.extra)
-        return out
 
 
 @dataclass
@@ -94,11 +93,6 @@ class Header:
             start_date=Field(["date"]),
         )
 
-    def to_json(self) -> dict:
-        out = {key: getattr(self, key).to_json() for key in HEADER_KEYS}
-        out.update(self.extra)
-        return out
-
 
 @dataclass
 class FormField:
@@ -106,72 +100,35 @@ class FormField:
 
     label: str
     value: str | None = None
-    unit: str | None = None
-    limits: str | None = None
-    notes: str | None = None
+    unit: str | None = _optional()
+    limits: str | None = _optional()
+    notes: str | None = _optional()
     extra: dict = dc_field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        out: dict = {"label": self.label, "value": self.value}
-        for key in ("unit", "limits", "notes"):
-            val = getattr(self, key)
-            if val is not None:
-                out[key] = val
-        out.update(self.extra)
-        return out
 
 
 @dataclass
 class Variable:
     name: str
     description: str
-    value: Any = None
-    unit: str | None = None
+    value: Any = _optional()
+    unit: str | None = _optional()
     extra: dict = dc_field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        out: dict = {"name": self.name, "description": self.description}
-        if self.value is not None:
-            out["value"] = self.value
-        if self.unit is not None:
-            out["unit"] = self.unit
-        out.update(self.extra)
-        return out
 
 
 @dataclass
 class CalcResult:
     value: Any
-    unit: str | None = None
+    unit: str | None = _optional()
     extra: dict = dc_field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        out: dict = {"value": self.value}
-        if self.unit is not None:
-            out["unit"] = self.unit
-        out.update(self.extra)
-        return out
 
 
 @dataclass
 class Calculation:
     formula: str
     variables: list[Variable] = dc_field(default_factory=list)
-    result: CalcResult | None = None
-    notes: str | None = None
+    result: CalcResult | None = _optional()
+    notes: str | None = _optional()
     extra: dict = dc_field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        out: dict = {
-            "formula": self.formula,
-            "variables": [v.to_json() for v in self.variables],
-        }
-        if self.result is not None:
-            out["result"] = self.result.to_json()
-        if self.notes is not None:
-            out["notes"] = self.notes
-        out.update(self.extra)
-        return out
 
 
 @dataclass
@@ -180,33 +137,14 @@ class Content:
 
     kind: str
     text: str = ""
-    items: list[str] | None = None
-    fields: list[FormField] | None = None
-    calculation: Calculation | None = None
-    headers: list[str] | None = None
-    rows: list[list] | None = None
-    link: dict | None = None
-    attachment: dict | None = None
+    items: list[str] | None = _optional()
+    fields: list[FormField] | None = _optional()
+    calculation: Calculation | None = _optional()
+    headers: list[str] | None = _optional()
+    rows: list[list] | None = _optional()
+    link: dict | None = _optional()
+    attachment: dict | None = _optional()
     extra: dict = dc_field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        out: dict = {"type": self.kind, "text": self.text}
-        if self.items is not None:
-            out["items"] = list(self.items)
-        if self.fields is not None:
-            out["fields"] = [f.to_json() for f in self.fields]
-        if self.calculation is not None:
-            out["calculation"] = self.calculation.to_json()
-        if self.headers is not None:
-            out["headers"] = list(self.headers)
-        if self.rows is not None:
-            out["rows"] = [list(r) for r in self.rows]
-        if self.link is not None:
-            out["link"] = dict(self.link)
-        if self.attachment is not None:
-            out["attachment"] = dict(self.attachment)
-        out.update(self.extra)
-        return out
 
 
 @dataclass
@@ -219,18 +157,6 @@ class Step:
     content: list[Content] = dc_field(default_factory=list)
     extra: dict = dc_field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        out: dict = {
-            "id": self.id,
-            "phase_id": self.phase_id,
-            "group_id": self.group_id,
-            "step_name": self.step_name.to_json(),
-            "step_type": self.step_type.to_json(),
-            "content": [c.to_json() for c in self.content],
-        }
-        out.update(self.extra)
-        return out
-
 
 @dataclass
 class Phase:
@@ -239,26 +165,12 @@ class Phase:
     phase_name: Field
     extra: dict = dc_field(default_factory=dict)
 
-    def to_json(self) -> dict:
-        out: dict = {
-            "id": self.id,
-            "group_id": self.group_id,
-            "phase_name": self.phase_name.to_json(),
-        }
-        out.update(self.extra)
-        return out
-
 
 @dataclass
 class Group:
     id: str
     group_name: Field
     extra: dict = dc_field(default_factory=dict)
-
-    def to_json(self) -> dict:
-        out: dict = {"id": self.id, "group_name": self.group_name.to_json()}
-        out.update(self.extra)
-        return out
 
 
 @dataclass
@@ -274,15 +186,56 @@ class BmrRecord:
         return cls(header=Header.empty())
 
 
-def serialize_record(record: BmrRecord) -> dict:
-    out: dict = {
-        "header": record.header.to_json(),
-        "groups": [g.to_json() for g in record.groups],
-        "phases": [p.to_json() for p in record.phases],
-        "steps": [s.to_json() for s in record.steps],
-    }
-    out.update(record.extra)
+# (attribute, JSON member, left out while None) of each model class, in order.
+JSON_MEMBERS = {
+    cls: tuple(
+        (f.name, _JSON_NAMES.get(f.name, f.name), f.metadata.get("optional", False))
+        for f in dc_fields(cls)
+        if f.name != "extra"
+    )
+    for cls in (
+        Field, Header, FormField, Variable, CalcResult, Calculation, Content, Step, Phase,
+        Group, BmrRecord,
+    )
+}
+_DECLARED = {cls: {name for _, name, _ in members} for cls, members in JSON_MEMBERS.items()}
+HEADER_KEYS = tuple(name for _, name, _ in JSON_MEMBERS[Header])
+
+
+def _as_json(value: Any) -> Any:
+    """The JSON value of a model instance, or of a list or dict holding them."""
+    members = JSON_MEMBERS.get(type(value))
+    if members is None:
+        if isinstance(value, list):
+            return [v if type(v) is str else _as_json(v) for v in value]
+        if isinstance(value, dict):
+            return {k: _as_json(v) for k, v in value.items()}
+        return value
+    out = {}
+    for attr, name, omit_none in members:
+        member = getattr(value, attr)
+        if member is None:
+            if not omit_none:
+                out[name] = None
+        else:
+            out[name] = member if type(member) is str else _as_json(member)
+    out.update(value.extra)
     return out
+
+
+def serialize_record(record: BmrRecord) -> dict:
+    return _as_json(record)
+
+
+def _from_json(cls: type, value: dict, **parsed: Any) -> Any:
+    """A ``cls`` built from the JSON object ``value``: each declared member as
+    given in ``parsed``, else as ``value`` holds it (None when absent), and
+    every undeclared member of ``value`` kept in ``extra``."""
+    for attr, name, _ in JSON_MEMBERS[cls]:
+        if attr not in parsed:
+            parsed[attr] = value.get(name)
+    declared = _DECLARED[cls]
+    return cls(extra={k: v for k, v in value.items() if k not in declared}, **parsed)
 
 
 # --------------------------------------------------------------------------
@@ -348,8 +301,7 @@ class _Parser:
                     )
         if "value" not in value:
             self.error(join_path(path, "value"), MISSING_FIELD, "field is missing its value")
-        extra = {k: v for k, v in value.items() if k not in ("type", "value")}
-        return Field(types=list(types), value=value.get("value"), extra=extra)
+        return _from_json(Field, value, types=list(types))
 
     def form_field(self, value: Any, path: str) -> FormField:
         if not isinstance(value, dict):
@@ -360,16 +312,7 @@ class _Parser:
             self.error(join_path(path, "label"), MISSING_FIELD, "form field needs a label")
         if "value" not in value:
             self.error(join_path(path, "value"), MISSING_FIELD, "form field is missing its value")
-        known = ("label", "value", "unit", "limits", "notes")
-        extra = {k: v for k, v in value.items() if k not in known}
-        return FormField(
-            label=value.get("label"),
-            value=value.get("value"),
-            unit=value.get("unit"),
-            limits=value.get("limits"),
-            notes=value.get("notes"),
-            extra=extra,
-        )
+        return _from_json(FormField, value)
 
     def variable(self, value: Any, path: str) -> Variable:
         if not isinstance(value, dict):
@@ -378,15 +321,7 @@ class _Parser:
         self.strings(value, path, required=("name", "description"), optional=("unit",))
         if value.get("name") == "":
             self.error(join_path(path, "name"), MISSING_FIELD, "variable needs a name")
-        known = ("name", "description", "value", "unit")
-        extra = {k: v for k, v in value.items() if k not in known}
-        return Variable(
-            name=value.get("name"),
-            description=value.get("description"),
-            value=value.get("value"),
-            unit=value.get("unit"),
-            extra=extra,
-        )
+        return _from_json(Variable, value)
 
     def calculation(self, value: Any, path: str) -> Calculation:
         if not isinstance(value, dict):
@@ -410,23 +345,8 @@ class _Parser:
                 self.error(join_path(path, "result"), MISSING_FIELD, "result needs a value")
             else:
                 self.strings(raw_result, join_path(path, "result"), optional=("unit",))
-                result_extra = {
-                    k: v for k, v in raw_result.items() if k not in ("value", "unit")
-                }
-                result = CalcResult(
-                    value=raw_result.get("value"),
-                    unit=raw_result.get("unit"),
-                    extra=result_extra,
-                )
-        known = ("formula", "variables", "result", "notes")
-        extra = {k: v for k, v in value.items() if k not in known}
-        return Calculation(
-            formula=value.get("formula"),
-            variables=variables,
-            result=result,
-            notes=value.get("notes"),
-            extra=extra,
-        )
+                result = _from_json(CalcResult, raw_result)
+        return _from_json(Calculation, value, variables=variables, result=result)
 
     def content(self, value: Any, path: str) -> Content:
         if not isinstance(value, dict):
@@ -536,29 +456,9 @@ class _Parser:
                     f"attachment kind must be one of {sorted(ATTACHMENT_KINDS)}",
                 )
 
-        known = (
-            "type",
-            "text",
-            "items",
-            "fields",
-            "calculation",
-            "headers",
-            "rows",
-            "link",
-            "attachment",
-        )
-        extra = {k: v for k, v in value.items() if k not in known}
-        return Content(
-            kind=kind,
-            text=value.get("text"),
-            items=items,
-            fields=fields,
-            calculation=calculation,
-            headers=headers,
-            rows=rows,
-            link=link,
-            attachment=attachment,
-            extra=extra,
+        return _from_json(
+            Content, value, kind=kind, items=items, fields=fields, calculation=calculation,
+            headers=headers, rows=rows, link=link, attachment=attachment,
         )
 
     def identifier(self, value: Any, path: str, pattern: re.Pattern) -> str:
@@ -580,8 +480,7 @@ class _Parser:
                 fields[key] = Field(["text"])
             else:
                 fields[key] = self.field(value[key], join_path("header", key))
-        extra = {k: v for k, v in value.items() if k not in HEADER_KEYS}
-        return Header(extra=extra, **fields)
+        return _from_json(Header, value, **fields)
 
     def group(self, value: Any, path: str) -> Group:
         if not isinstance(value, dict):
@@ -593,8 +492,7 @@ class _Parser:
             name = Field(["text"])
         else:
             name = self.field(value["group_name"], join_path(path, "group_name"))
-        extra = {k: v for k, v in value.items() if k not in ("id", "group_name")}
-        return Group(id=gid, group_name=name, extra=extra)
+        return _from_json(Group, value, id=gid, group_name=name)
 
     def phase(self, value: Any, path: str) -> Phase:
         if not isinstance(value, dict):
@@ -607,10 +505,7 @@ class _Parser:
             name = Field(["text"])
         else:
             name = self.field(value["phase_name"], join_path(path, "phase_name"))
-        extra = {
-            k: v for k, v in value.items() if k not in ("id", "group_id", "phase_name")
-        }
-        return Phase(id=pid, group_id=gid, phase_name=name, extra=extra)
+        return _from_json(Phase, value, id=pid, group_id=gid, phase_name=name)
 
     def step(self, value: Any, path: str) -> Step:
         if not isinstance(value, dict):
@@ -637,16 +532,8 @@ class _Parser:
             self.content(c, f"{join_path(path, 'content')}[{i}]")
             for i, c in enumerate(raw_content)
         ]
-        known = ("id", "phase_id", "group_id", "step_name", "step_type", "content")
-        extra = {k: v for k, v in value.items() if k not in known}
-        return Step(
-            id=sid,
-            phase_id=pid,
-            group_id=gid,
-            step_name=names["step_name"],
-            step_type=names["step_type"],
-            content=content,
-            extra=extra,
+        return _from_json(
+            Step, value, id=sid, phase_id=pid, group_id=gid, content=content, **names
         )
 
 
@@ -687,16 +574,7 @@ def parse_record(value: Any) -> BmrRecord | list[ValidationIssue]:
 
     if p.issues:
         return p.issues
-    extra = {
-        k: v for k, v in value.items() if k not in ("header", "groups", "phases", "steps")
-    }
-    return BmrRecord(
-        header=header,
-        groups=arrays["groups"],
-        phases=arrays["phases"],
-        steps=arrays["steps"],
-        extra=extra,
-    )
+    return _from_json(BmrRecord, value, header=header, **arrays)
 
 
 # --------------------------------------------------------------------------

@@ -109,6 +109,25 @@ def test_process_exit_2_when_backend_unreachable(tmp_path):
     assert code == 2
 
 
+def test_process_exit_2_reports_why_every_chunk_failed(tmp_path, monkeypatch, capsys):
+    reply = clean_record_json()
+    reply["steps"][0]["content"][1]["fields"][0]["unit"] = 5
+    monkeypatch.setattr(cli, "_make_backend", lambda cfg: ScriptedBackend([wrap_json(reply)]))
+    outs = [tmp_path / name for name in ("r.json", "v.json", "m.json")]
+    code = run(
+        [
+            "process", SAMPLE_BMR,
+            "--out", outs[0], "--report-out", outs[1], "--metrics-out", outs[2],
+        ]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "error: no chunk produced a record" in err
+    assert "chunk 0: SCHEMA_INVALID" in err
+    assert "BAD_FIELD_TYPE at steps[0].content[1].fields[0].unit: expected a string" in err
+    assert not any(path.exists() for path in outs)
+
+
 def test_process_exit_2_on_missing_input(tmp_path):
     assert run(["process", tmp_path / "missing.md", "--mock"]) == 2
 

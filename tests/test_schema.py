@@ -1,18 +1,35 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import tempfile
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bmrkit.cli as cli
+from bmrkit.extraction import PROMPT_TEMPLATE
 from bmrkit.merge import resolve_cross_references
 from bmrkit.metrics import compute_metrics
 from bmrkit.schema import (
     ATTACHMENT_KINDS,
     CONTENT_KINDS,
+    HEADER_KEYS,
+    JSON_MEMBERS,
+    SCHEMA_TEMPLATE,
     BmrRecord,
+    CalcResult,
+    Calculation,
+    Content,
+    Field,
+    FormField,
+    Group,
+    Header,
+    Phase,
+    Step,
+    Variable,
+    _as_json,
     parse_record,
     schema_prompt_text,
     serialize_record,
@@ -39,6 +56,45 @@ def test_schema_text_lists_every_content_and_attachment_kind():
     for kind in CONTENT_KINDS | ATTACHMENT_KINDS:
         assert f'"{kind}"' in text
     assert "link_text: string;" in text and "reference?: string;" in text
+
+
+def test_every_declared_member_is_in_the_prompt():
+    """The model classes and the schema prompt name the same members, and a
+    member left out while None is the one the prompt marks optional (``?``)."""
+    for cls, members in JSON_MEMBERS.items():
+        for _, name, omit_none in members:
+            if cls is BmrRecord:
+                # The record's own layout is spelled out in the prompt text.
+                assert f'"{name}":' in PROMPT_TEMPLATE
+            else:
+                assert f"{name}{'?' if omit_none else ''}:" in SCHEMA_TEMPLATE, (cls, name)
+
+
+@pytest.mark.parametrize(
+    "cls, written",
+    [
+        (Field, ["type", "value"]),
+        (Header, list(HEADER_KEYS)),
+        (FormField, ["label", "value"]),
+        (Variable, ["name", "description"]),
+        (CalcResult, ["value"]),
+        (Calculation, ["formula", "variables"]),
+        (Content, ["type", "text"]),
+        (Step, ["id", "phase_id", "group_id", "step_name", "step_type", "content"]),
+        (Phase, ["id", "group_id", "phase_name"]),
+        (Group, ["id", "group_name"]),
+        (BmrRecord, ["header", "groups", "phases", "steps"]),
+    ],
+)
+def test_none_members_are_left_out_only_when_optional(cls, written):
+    """With every member None, the optional ones are left out and the rest are
+    written as null, in field order. A form field's or calculation result's
+    value is written as null; a variable's is left out."""
+    instance = cls(**{f.name: None for f in dataclasses.fields(cls) if f.name != "extra"})
+    instance.extra = {"later": 1}
+    out = _as_json(instance)
+    assert list(out) == written + ["later"]
+    assert all(out[name] is None for name in written)
 
 
 def test_parse_golden_record_file():
