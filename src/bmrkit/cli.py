@@ -99,9 +99,13 @@ def _make_backend(cfg: PipelineConfig):
 
 
 def _print_issues(issues: list[ValidationIssue], indent: str) -> None:
+    """Each distinct issue line once: a chunk's failed attempts often repeat one."""
+    lines = []
     for issue in issues:
         where = f" at {issue.path}" if issue.path else ""
-        print(f"{indent}{issue.code}{where}: {issue.message}", file=sys.stderr)
+        lines.append(f"{indent}{issue.code}{where}: {issue.message}")
+    for line in dict.fromkeys(lines):
+        print(line, file=sys.stderr)
 
 
 def _write_json(path: str, payload: dict | list) -> None:
@@ -153,7 +157,10 @@ def cmd_process(input_path: str, cfg: PipelineConfig) -> int:
     except EmptyMergeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         for result in results:
-            print(f"  chunk {result.index}: {result.failure}", file=sys.stderr)
+            print(
+                f"  chunk {result.index}: {result.failure} after {result.attempts_used} attempts",
+                file=sys.stderr,
+            )
             _print_issues(result.issues, "    ")
         return EXIT_PIPELINE_FAILURE
     record, refs = resolve_cross_references(record)

@@ -158,6 +158,31 @@ def _repair_section(issues: list[ValidationIssue]) -> str:
     return "\n".join(lines)
 
 
+def _attempt(
+    prompt: str, cfg: ExtractionConfig, backend: ExtractionBackend
+) -> tuple[BmrRecord | None, list[ValidationIssue], str | None]:
+    """One backend call and the reading of its reply: the record or None, the
+    attempt's issues, and the failure code when there is no record. Payload
+    extraction failures count as parse failures."""
+    try:
+        response = backend.complete(prompt, cfg.model, {})
+    except Exception as exc:
+        return None, [issue_error(LAYER_SYNTACTIC, "", BACKEND_ERROR, str(exc))], BACKEND_ERROR
+    try:
+        payload, issues = extract_json_block(response)
+    except NoJsonPayloadError as exc:
+        return None, [issue_error(LAYER_SYNTACTIC, "", NO_JSON_PAYLOAD, str(exc))], PARSE_FAILED
+    try:
+        value = json.loads(payload)
+    except (json.JSONDecodeError, ValueError) as exc:
+        issues.append(issue_error(LAYER_SYNTACTIC, "", PARSE_FAILED, f"invalid JSON: {exc}"))
+        return None, issues, PARSE_FAILED
+    parsed = parse_record(value)
+    if isinstance(parsed, list):
+        return None, issues + parsed, SCHEMA_INVALID
+    return parsed, issues, None
+
+
 def process_single_chunk(
     index: int,
     chunk: Chunk,
@@ -169,71 +194,27 @@ def process_single_chunk(
 
     Each retry re-sends the original prompt plus a repair section listing the
     previous attempt's issue codes and messages. The final failure reason
-    mirrors the stage the last attempt died in; payload extraction failures
-    count as parse failures.
+    mirrors the stage the last attempt died in.
     """
     from .schema import schema_prompt_text
 
     base_prompt = build_prompt(chunk, index + 1, total_chunks, schema_prompt_text())
     all_issues: list[ValidationIssue] = []
     prior_issues: list[ValidationIssue] = []
-    failure = PARSE_FAILED
+    failure = None
 
     for attempt in range(1, cfg.max_attempts + 1):
-        attempt_issues: list[ValidationIssue] = []
         prompt = base_prompt
         if prior_issues:
             prompt += _repair_section(prior_issues)
-
-        try:
-            response = backend.complete(prompt, cfg.model, {})
-        except Exception as exc:
-            attempt_issues.append(
-                issue_error(LAYER_SYNTACTIC, "", BACKEND_ERROR, str(exc))
+        record, prior_issues, failure = _attempt(prompt, cfg, backend)
+        all_issues.extend(prior_issues)
+        if record is not None:
+            return ChunkResult(
+                index=index, record=record, attempts_used=attempt, issues=all_issues
             )
-            all_issues.extend(attempt_issues)
-            prior_issues = attempt_issues
-            failure = BACKEND_ERROR
-            logger.debug("chunk %d attempt %d: backend error: %s", index, attempt, exc)
-            continue
-
-        try:
-            payload, tag_issues = extract_json_block(response)
-        except NoJsonPayloadError as exc:
-            attempt_issues.append(
-                issue_error(LAYER_SYNTACTIC, "", NO_JSON_PAYLOAD, str(exc))
-            )
-            all_issues.extend(attempt_issues)
-            prior_issues = attempt_issues
-            failure = PARSE_FAILED
-            continue
-        attempt_issues.extend(tag_issues)
-
-        try:
-            value = json.loads(payload)
-        except (json.JSONDecodeError, ValueError) as exc:
-            attempt_issues.append(
-                issue_error(LAYER_SYNTACTIC, "", PARSE_FAILED, f"invalid JSON: {exc}")
-            )
-            all_issues.extend(attempt_issues)
-            prior_issues = attempt_issues
-            failure = PARSE_FAILED
-            continue
-
-        parsed = parse_record(value)
-        if isinstance(parsed, list):
-            attempt_issues.extend(parsed)
-            all_issues.extend(attempt_issues)
-            prior_issues = attempt_issues
-            failure = SCHEMA_INVALID
-            logger.debug(
-                "chunk %d attempt %d: %d schema issues", index, attempt, len(parsed)
-            )
-            continue
-
-        all_issues.extend(attempt_issues)
-        return ChunkResult(
-            index=index, record=parsed, attempts_used=attempt, issues=all_issues
+        logger.debug(
+            "chunk %d attempt %d: %s, %d issues", index, attempt, failure, len(prior_issues)
         )
 
     return ChunkResult(

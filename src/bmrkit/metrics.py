@@ -31,7 +31,7 @@ import re
 import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import asdict, dataclass, field as dc_field
+from dataclasses import asdict, dataclass, field as dc_field, fields
 from functools import cached_property
 from itertools import repeat
 from typing import Any, Iterator, NamedTuple
@@ -54,19 +54,6 @@ from .schema import BmrRecord, Content, FormField, HEADER_KEYS
 STATUS_EXCELLENT = "Excellent"
 STATUS_ACCEPTABLE = "Acceptable"
 STATUS_NEEDS_REVIEW = "Needs review"
-
-METRIC_NAMES = (
-    "crude_word_coverage",
-    "context_aware_coverage",
-    "reference_coverage",
-    "hierarchy_preservation",
-    "sequence_preservation",
-    "cross_reference_integrity",
-    "calculation_fidelity",
-    "conditional_logic_fidelity",
-    "unit_fidelity",
-    "field_accuracy",
-)
 
 # Stands in for a dot between digits while tokenizing, so "1.5" stays one token.
 _GUARD = "\uf8ff"
@@ -810,6 +797,10 @@ class WeightVector:
             raise ValueError("weights must be non-negative")
         if sum(values) <= 0:
             raise ValueError("weights must sum to a positive value")
+
+
+# The ten percentage metrics the composite weighs, in report order.
+METRIC_NAMES = tuple(f.name for f in fields(WeightVector))
 
 
 @dataclass

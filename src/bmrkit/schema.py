@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field, fields as dc_fields
-from typing import Any
+from types import UnionType
+from typing import Any, Callable, Union, get_args, get_origin, get_type_hints
 
 from .issues import LAYER_STRUCTURAL, ValidationIssue, issue_error
 
@@ -49,25 +50,142 @@ BAD_CONTENT_KIND = "BAD_CONTENT_KIND"
 ROW_WIDTH_MISMATCH = "ROW_WIDTH_MISMATCH"
 BAD_ID_FORMAT = "BAD_ID_FORMAT"
 
+# A member reader takes (issues, JSON value, path), appends an issue for each
+# shape problem and returns the value to store.
+_Reader = Callable[[list, Any, str], Any]
+
+
+def join_path(path: str, key: str) -> str:
+    return f"{path}.{key}" if path else key
+
+
+def id_suffix(identifier: str) -> int:
+    """The number after an id's last dash, or -1 when there is none."""
+    _, _, tail = identifier.rpartition("-")
+    return int(tail) if tail.isdigit() else -1
+
+
+def is_field_type(value: Any) -> bool:
+    """Whether ``value`` names a field type; a list or object names none."""
+    return isinstance(value, str) and value in FIELD_TYPES
+
+
+def _error(issues: list, path: str, code: str, message: str) -> None:
+    issues.append(issue_error(LAYER_STRUCTURAL, path, code, message))
+
+
+def _leaf(expected: type, what: str) -> _Reader:
+    """A value that must be of one JSON type; another type is BAD_FIELD_TYPE."""
+
+    def read(issues: list, value: Any, path: str) -> Any:
+        if isinstance(value, expected):
+            return value
+        _error(issues, path, BAD_FIELD_TYPE, f"expected {what}, got {value!r:.40}")
+        return None
+
+    return read
+
+
+_string = _leaf(str, "a string")
+
+
+def _members(issues: list, value: dict, path: str, rules: tuple) -> dict:
+    """Each (attribute, member, optional, reader) of ``rules`` read from the
+    JSON object ``value``: a missing member is MISSING_FIELD unless optional,
+    and an optional member may also be null."""
+    parsed = {}
+    for attr, name, optional, read in rules:
+        member = value.get(name)
+        if member is not None or (name in value and not optional):
+            member = read(issues, member, join_path(path, name))
+        elif not optional:
+            _error(issues, join_path(path, name), MISSING_FIELD, f"missing {name}")
+        parsed[attr] = member
+    return parsed
+
+
+# The rules no annotation states. Each is attached to its member below with
+# _read_by or _optional and replaces the rule the member's type gives.
+
+
+def _identifier(pattern: re.Pattern) -> _Reader:
+    """An id: a non-empty string that matches ``pattern``."""
+
+    def read(issues: list, value: Any, path: str) -> Any:
+        if not isinstance(value, str) or value == "":
+            _error(issues, path, MISSING_FIELD, f"expected an id, got {value!r:.40}")
+        elif not pattern.match(value):
+            _error(issues, path, BAD_ID_FORMAT, f"id {value!r} does not match the expected format")
+        return value
+
+    return read
+
+
+def _non_empty(issues: list, value: Any, path: str) -> Any:
+    """A string that must not be empty."""
+    if _string(issues, value, path) == "":
+        _error(issues, path, MISSING_FIELD, "expected a non-empty string")
+    return value
+
+
+def _field_types(issues: list, value: Any, path: str) -> Any:
+    """A field's type list: a non-empty list of FIELD_TYPES names."""
+    if not isinstance(value, list) or not value:
+        _error(issues, path, BAD_FIELD_TYPE, f"expected a non-empty list, got {value!r:.40}")
+        return None
+    for t in value:
+        if not is_field_type(t):
+            _error(issues, path, BAD_FIELD_TYPE, f"unknown field type {t!r}")
+    return list(value)
+
+
+def _content_kind(issues: list, value: Any, path: str) -> Any:
+    """One of CONTENT_KINDS; another value is BAD_CONTENT_KIND and reads as None."""
+    if isinstance(value, str) and value in CONTENT_KINDS:
+        return value
+    _error(issues, path, BAD_CONTENT_KIND, f"unknown content kind {value!r}")
+    return None
+
+
+def _string_object(required: tuple, optional: tuple = ()) -> _Reader:
+    """An object payload kept as a dict, whose listed members are strings."""
+    rules = tuple((k, k, k in optional, _string) for k in required + optional)
+
+    def read(issues: list, value: Any, path: str) -> Any:
+        if not isinstance(value, dict):
+            _error(issues, path, MISSING_FIELD, f"expected an object, got {value!r:.40}")
+            return None
+        _members(issues, value, path, rules)
+        return value
+
+    return read
+
+
 # The model dataclasses below are the one declaration of the JSON members:
 # each field but ``extra`` is a member, written in field order under its own
 # name or the one in _JSON_NAMES. A member declared ``_optional()`` is left out
 # while it is None (``?`` in the schema prompt); any other None is written as
 # null. ``extra`` holds the members a backend sent that the model does not
-# declare; they are kept opaquely and written last.
+# declare; they are kept opaquely and written last. parse_record reads each
+# member by its annotation, or by the reader it is declared with.
 _JSON_NAMES = {"types": "type", "kind": "type"}
 
 
-def _optional() -> Any:
+def _optional(read: _Reader | None = None) -> Any:
     """A member that defaults to None and is left out of the JSON while None."""
-    return dc_field(default=None, metadata={"optional": True})
+    return dc_field(default=None, metadata={"optional": True, "read": read})
+
+
+def _read_by(read: _Reader) -> Any:
+    """A required member that parse_record reads with ``read``."""
+    return dc_field(metadata={"read": read})
 
 
 @dataclass
 class Field:
     """A typed value slot: a list of declared types plus an arbitrary value."""
 
-    types: list[str]
+    types: list[str] = _read_by(_field_types)
     value: Any = None
     extra: dict = dc_field(default_factory=dict)
 
@@ -98,8 +216,8 @@ class Header:
 class FormField:
     """One fill-in entry of a data form (label, value, optional unit/limits)."""
 
-    label: str
-    value: str | None = None
+    label: str = _read_by(_non_empty)
+    value: Any = None
     unit: str | None = _optional()
     limits: str | None = _optional()
     notes: str | None = _optional()
@@ -108,7 +226,7 @@ class FormField:
 
 @dataclass
 class Variable:
-    name: str
+    name: str = _read_by(_non_empty)
     description: str
     value: Any = _optional()
     unit: str | None = _optional()
@@ -135,23 +253,23 @@ class Calculation:
 class Content:
     """One content block of a step; ``kind`` selects which payload applies."""
 
-    kind: str
+    kind: str = _read_by(_content_kind)
     text: str = ""
     items: list[str] | None = _optional()
     fields: list[FormField] | None = _optional()
     calculation: Calculation | None = _optional()
     headers: list[str] | None = _optional()
     rows: list[list] | None = _optional()
-    link: dict | None = _optional()
-    attachment: dict | None = _optional()
+    link: dict | None = _optional(_string_object(("link_text", "url")))
+    attachment: dict | None = _optional(_string_object(("name",), ("reference",)))
     extra: dict = dc_field(default_factory=dict)
 
 
 @dataclass
 class Step:
-    id: str
-    phase_id: str
-    group_id: str
+    id: str = _read_by(_identifier(STEP_ID_RE))
+    phase_id: str = _read_by(_identifier(PHASE_ID_RE))
+    group_id: str = _read_by(_identifier(GROUP_ID_RE))
     step_name: Field
     step_type: Field
     content: list[Content] = dc_field(default_factory=list)
@@ -160,15 +278,15 @@ class Step:
 
 @dataclass
 class Phase:
-    id: str
-    group_id: str
+    id: str = _read_by(_identifier(PHASE_ID_RE))
+    group_id: str = _read_by(_identifier(GROUP_ID_RE))
     phase_name: Field
     extra: dict = dc_field(default_factory=dict)
 
 
 @dataclass
 class Group:
-    id: str
+    id: str = _read_by(_identifier(GROUP_ID_RE))
     group_name: Field
     extra: dict = dc_field(default_factory=dict)
 
@@ -198,7 +316,6 @@ JSON_MEMBERS = {
         Group, BmrRecord,
     )
 }
-_DECLARED = {cls: {name for _, name, _ in members} for cls, members in JSON_MEMBERS.items()}
 HEADER_KEYS = tuple(name for _, name, _ in JSON_MEMBERS[Header])
 
 
@@ -227,354 +344,126 @@ def serialize_record(record: BmrRecord) -> dict:
     return _as_json(record)
 
 
-def _from_json(cls: type, value: dict, **parsed: Any) -> Any:
-    """A ``cls`` built from the JSON object ``value``: each declared member as
-    given in ``parsed``, else as ``value`` holds it (None when absent), and
-    every undeclared member of ``value`` kept in ``extra``."""
-    for attr, name, _ in JSON_MEMBERS[cls]:
-        if attr not in parsed:
-            parsed[attr] = value.get(name)
-    declared = _DECLARED[cls]
-    return cls(extra={k: v for k, v in value.items() if k not in declared}, **parsed)
-
-
 # --------------------------------------------------------------------------
 # Parsing
 
-
-def join_path(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
-
-
-def id_suffix(identifier: str) -> int:
-    """The number after an id's last dash, or -1 when there is none."""
-    _, _, tail = identifier.rpartition("-")
-    return int(tail) if tail.isdigit() else -1
-
-
-def is_field_type(value: Any) -> bool:
-    """Whether ``value`` names a field type; a list or object names none."""
-    return isinstance(value, str) and value in FIELD_TYPES
+# The payload member each content kind needs; a data form needs at least one field.
+_KIND_PAYLOAD = {
+    "table": "headers",
+    "data_form": "fields",
+    "calculation": "calculation",
+    "bullet_list": "items",
+    "numbered_list": "items",
+    "link": "link",
+    "attachments": "attachment",
+}
 
 
-class _Parser:
-    def __init__(self) -> None:
-        self.issues: list[ValidationIssue] = []
+def _check_content(issues: list, content: Content, path: str) -> None:
+    """What a content block's kind asks of it: its payload, a table's row
+    width and an attachment's kind."""
+    kind = content.kind
+    if kind == "table" and content.headers is not None:
+        width = len(content.headers)
+        for i, row in enumerate(content.rows or ()):
+            if isinstance(row, list) and len(row) != width:
+                message = f"row width differs from {width} header columns"
+                _error(issues, f"{join_path(path, 'rows')}[{i}]", ROW_WIDTH_MISMATCH, message)
+    name = _KIND_PAYLOAD.get(kind)
+    if name is None:
+        return
+    payload = getattr(content, name)
+    if payload is None or (kind == "data_form" and not payload):
+        message = f"{kind} content needs its {name} payload"
+        _error(issues, join_path(path, name), MISSING_FIELD, message)
+    elif kind == "attachments" and not (
+        isinstance(payload.get("kind"), str) and payload["kind"] in ATTACHMENT_KINDS
+    ):
+        message = f"attachment kind must be one of {sorted(ATTACHMENT_KINDS)}"
+        _error(issues, f"{join_path(path, name)}.kind", BAD_FIELD_TYPE, message)
 
-    def error(self, path: str, code: str, message: str) -> None:
-        self.issues.append(issue_error(LAYER_STRUCTURAL, path, code, message))
 
-    def string(self, slot: Any, path: str, required: bool = True) -> None:
-        """BAD_FIELD_TYPE unless ``slot`` holds a string, or null when optional."""
-        if not (isinstance(slot, str) or (slot is None and not required)):
-            self.error(path, BAD_FIELD_TYPE, f"expected a string, got {slot!r:.40}")
+def _model(cls: type) -> _Reader:
+    """A JSON object read as a ``cls``; one of another type is MISSING_FIELD.
+    That reads as an empty ``cls``, not as None like a mistyped list or dict,
+    so calculation content holding a mistyped calculation reports it once."""
+    label = re.sub(r"(?<!^)(?=[A-Z])", " ", cls.__name__).lower()
+    declared = {name for _, name, _ in JSON_MEMBERS[cls]}
 
-    def strings(self, value: dict, path: str, required: tuple = (), optional: tuple = ()) -> None:
-        """The one rule for the members of ``value`` the schema types as
-        ``string``: a missing required one is MISSING_FIELD, one holding
-        another JSON type is BAD_FIELD_TYPE, and an optional one may be
-        missing or null."""
-        for key in required + optional:
-            if key in value:
-                self.string(value[key], join_path(path, key), key in required)
-            elif key in required:
-                self.error(join_path(path, key), MISSING_FIELD, "missing a required string")
-
-    def field(self, value: Any, path: str) -> Field:
+    def read(issues: list, value: Any, path: str) -> Any:
         if not isinstance(value, dict):
-            self.error(path, MISSING_FIELD, "expected a field object")
-            return Field(types=["text"])
-        types = value.get("type")
-        if "type" not in value:
-            self.error(join_path(path, "type"), MISSING_FIELD, "field is missing its type list")
-            types = ["text"]
-        elif not isinstance(types, list) or not types:
-            self.error(
-                join_path(path, "type"), BAD_FIELD_TYPE, "type must be a non-empty list"
-            )
-            types = ["text"]
-        else:
-            for t in types:
-                if not is_field_type(t):
-                    self.error(
-                        join_path(path, "type"), BAD_FIELD_TYPE, f"unknown field type {t!r}"
-                    )
-        if "value" not in value:
-            self.error(join_path(path, "value"), MISSING_FIELD, "field is missing its value")
-        return _from_json(Field, value, types=list(types))
-
-    def form_field(self, value: Any, path: str) -> FormField:
-        if not isinstance(value, dict):
-            self.error(path, MISSING_FIELD, "expected a form field object")
-            return FormField(label="")
-        self.strings(value, path, required=("label",), optional=("unit", "limits", "notes"))
-        if value.get("label") == "":
-            self.error(join_path(path, "label"), MISSING_FIELD, "form field needs a label")
-        if "value" not in value:
-            self.error(join_path(path, "value"), MISSING_FIELD, "form field is missing its value")
-        return _from_json(FormField, value)
-
-    def variable(self, value: Any, path: str) -> Variable:
-        if not isinstance(value, dict):
-            self.error(path, MISSING_FIELD, "expected a variable object")
-            return Variable(name="", description="")
-        self.strings(value, path, required=("name", "description"), optional=("unit",))
-        if value.get("name") == "":
-            self.error(join_path(path, "name"), MISSING_FIELD, "variable needs a name")
-        return _from_json(Variable, value)
-
-    def calculation(self, value: Any, path: str) -> Calculation:
-        if not isinstance(value, dict):
-            self.error(path, MISSING_FIELD, "expected a calculation object")
-            return Calculation(formula="")
-        self.strings(value, path, required=("formula",), optional=("notes",))
-        raw_vars = value.get("variables")
-        if not isinstance(raw_vars, list):
-            self.error(
-                join_path(path, "variables"), MISSING_FIELD, "calculation needs a variables list"
-            )
-            raw_vars = []
-        variables = [
-            self.variable(v, f"{join_path(path, 'variables')}[{i}]")
-            for i, v in enumerate(raw_vars)
-        ]
-        result = None
-        raw_result = value.get("result")
-        if raw_result is not None:
-            if not isinstance(raw_result, dict) or "value" not in raw_result:
-                self.error(join_path(path, "result"), MISSING_FIELD, "result needs a value")
-            else:
-                self.strings(raw_result, join_path(path, "result"), optional=("unit",))
-                result = _from_json(CalcResult, raw_result)
-        return _from_json(Calculation, value, variables=variables, result=result)
-
-    def content(self, value: Any, path: str) -> Content:
-        if not isinstance(value, dict):
-            self.error(path, MISSING_FIELD, "expected a content object")
-            return Content(kind="paragraph")
-        kind = value.get("type")
-        if "type" not in value:
-            self.error(join_path(path, "type"), MISSING_FIELD, "content is missing its type")
-            kind = "paragraph"
-        elif not isinstance(kind, str) or kind not in CONTENT_KINDS:
-            self.error(
-                join_path(path, "type"), BAD_CONTENT_KIND, f"unknown content kind {kind!r}"
-            )
-            kind = "paragraph"
-        self.strings(value, path, required=("text",))
-
-        items = value.get("items")
-        if items is not None and not isinstance(items, list):
-            self.error(join_path(path, "items"), MISSING_FIELD, "items must be a list")
-            items = None
-        fields = None
-        raw_fields = value.get("fields")
-        if raw_fields is not None:
-            if not isinstance(raw_fields, list):
-                self.error(join_path(path, "fields"), MISSING_FIELD, "fields must be a list")
-            else:
-                fields = [
-                    self.form_field(f, f"{join_path(path, 'fields')}[{i}]")
-                    for i, f in enumerate(raw_fields)
-                ]
-        calculation = None
-        if value.get("calculation") is not None:
-            calculation = self.calculation(
-                value["calculation"], join_path(path, "calculation")
-            )
-        headers = value.get("headers")
-        if headers is not None and not isinstance(headers, list):
-            self.error(join_path(path, "headers"), MISSING_FIELD, "headers must be a list")
-            headers = None
-        for key, entries in (("items", items), ("headers", headers)):
-            for i, entry in enumerate(entries or []):
-                self.string(entry, f"{join_path(path, key)}[{i}]")
-        rows = value.get("rows")
-        if rows is not None and not isinstance(rows, list):
-            self.error(join_path(path, "rows"), MISSING_FIELD, "rows must be a list")
-            rows = None
-        for i, row in enumerate(rows or []):
-            row_path = f"{join_path(path, 'rows')}[{i}]"
-            if not isinstance(row, list):
-                self.error(row_path, BAD_FIELD_TYPE, "row must be a list")
-            elif kind == "table" and headers is not None and len(row) != len(headers):
-                message = f"row width differs from {len(headers)} header columns"
-                self.error(row_path, ROW_WIDTH_MISMATCH, message)
-        link = value.get("link")
-        if isinstance(link, dict):
-            self.strings(link, join_path(path, "link"), required=("link_text", "url"))
-        elif link is not None:
-            self.error(join_path(path, "link"), MISSING_FIELD, "link must be an object")
-            link = None
-        attachment = value.get("attachment")
-        if isinstance(attachment, dict):
-            self.strings(
-                attachment, join_path(path, "attachment"), required=("name",),
-                optional=("reference",),
-            )
-        elif attachment is not None:
-            self.error(
-                join_path(path, "attachment"), MISSING_FIELD, "attachment must be an object"
-            )
-            attachment = None
-
-        # Kind-specific payload requirements.
-        if kind == "table":
-            if headers is None:
-                self.error(join_path(path, "headers"), MISSING_FIELD, "table needs headers")
-        elif kind == "data_form":
-            if not fields:
-                self.error(
-                    join_path(path, "fields"), MISSING_FIELD, "data_form needs form fields"
-                )
-        elif kind == "calculation":
-            if calculation is None:
-                self.error(
-                    join_path(path, "calculation"),
-                    MISSING_FIELD,
-                    "calculation content needs a calculation payload",
-                )
-        elif kind in ("bullet_list", "numbered_list"):
-            if items is None:
-                self.error(join_path(path, "items"), MISSING_FIELD, f"{kind} needs items")
-        elif kind == "link":
-            if link is None:
-                self.error(join_path(path, "link"), MISSING_FIELD, "link content needs a link")
-        elif kind == "attachments":
-            if attachment is None:
-                self.error(
-                    join_path(path, "attachment"),
-                    MISSING_FIELD,
-                    "attachments content needs an attachment payload",
-                )
-            elif not (
-                isinstance(attachment.get("kind"), str) and attachment["kind"] in ATTACHMENT_KINDS
-            ):
-                self.error(
-                    f"{join_path(path, 'attachment')}.kind",
-                    BAD_FIELD_TYPE,
-                    f"attachment kind must be one of {sorted(ATTACHMENT_KINDS)}",
-                )
-
-        return _from_json(
-            Content, value, kind=kind, items=items, fields=fields, calculation=calculation,
-            headers=headers, rows=rows, link=link, attachment=attachment,
+            _error(issues, path, MISSING_FIELD, f"expected a {label} object, got {value!r:.40}")
+            return cls(**dict.fromkeys(attr for attr, *_ in JSON_MEMBERS[cls]))
+        parsed = cls(
+            extra={k: v for k, v in value.items() if k not in declared},
+            **_members(issues, value, path, _RULES[cls]),
         )
+        if cls is Content:
+            _check_content(issues, parsed, path)
+        return parsed
 
-    def identifier(self, value: Any, path: str, pattern: re.Pattern) -> str:
-        if not isinstance(value, str) or value == "":
-            self.error(path, MISSING_FIELD, "missing id")
-            return ""
-        if not pattern.match(value):
-            self.error(path, BAD_ID_FORMAT, f"id {value!r} does not match the expected format")
-        return value
+    return read
 
-    def header(self, value: Any) -> Header:
-        if not isinstance(value, dict):
-            self.error("header", MISSING_FIELD, "header must be an object")
-            return Header.empty()
-        fields = {}
-        for key in HEADER_KEYS:
-            if key not in value:
-                self.error(join_path("header", key), MISSING_FIELD, f"header is missing {key}")
-                fields[key] = Field(["text"])
-            else:
-                fields[key] = self.field(value[key], join_path("header", key))
-        return _from_json(Header, value, **fields)
 
-    def group(self, value: Any, path: str) -> Group:
-        if not isinstance(value, dict):
-            self.error(path, MISSING_FIELD, "expected a group object")
-            return Group(id="", group_name=Field(["text"]))
-        gid = self.identifier(value.get("id"), join_path(path, "id"), GROUP_ID_RE)
-        if "group_name" not in value:
-            self.error(join_path(path, "group_name"), MISSING_FIELD, "group needs group_name")
-            name = Field(["text"])
-        else:
-            name = self.field(value["group_name"], join_path(path, "group_name"))
-        return _from_json(Group, value, id=gid, group_name=name)
+def _list_of(entry: _Reader) -> _Reader:
+    """A JSON list, each entry read by ``entry``; another type is MISSING_FIELD."""
 
-    def phase(self, value: Any, path: str) -> Phase:
-        if not isinstance(value, dict):
-            self.error(path, MISSING_FIELD, "expected a phase object")
-            return Phase(id="", group_id="", phase_name=Field(["text"]))
-        pid = self.identifier(value.get("id"), join_path(path, "id"), PHASE_ID_RE)
-        gid = self.identifier(value.get("group_id"), join_path(path, "group_id"), GROUP_ID_RE)
-        if "phase_name" not in value:
-            self.error(join_path(path, "phase_name"), MISSING_FIELD, "phase needs phase_name")
-            name = Field(["text"])
-        else:
-            name = self.field(value["phase_name"], join_path(path, "phase_name"))
-        return _from_json(Phase, value, id=pid, group_id=gid, phase_name=name)
+    def read(issues: list, value: Any, path: str) -> Any:
+        if not isinstance(value, list):
+            _error(issues, path, MISSING_FIELD, f"expected a list, got {value!r:.40}")
+            return None
+        return [entry(issues, v, f"{path}[{i}]") for i, v in enumerate(value)]
 
-    def step(self, value: Any, path: str) -> Step:
-        if not isinstance(value, dict):
-            self.error(path, MISSING_FIELD, "expected a step object")
-            return Step(
-                id="", phase_id="", group_id="",
-                step_name=Field(["text"]), step_type=Field(["text"]),
-            )
-        sid = self.identifier(value.get("id"), join_path(path, "id"), STEP_ID_RE)
-        pid = self.identifier(value.get("phase_id"), join_path(path, "phase_id"), PHASE_ID_RE)
-        gid = self.identifier(value.get("group_id"), join_path(path, "group_id"), GROUP_ID_RE)
-        names = {}
-        for key in ("step_name", "step_type"):
-            if key not in value:
-                self.error(join_path(path, key), MISSING_FIELD, f"step needs {key}")
-                names[key] = Field(["text"])
-            else:
-                names[key] = self.field(value[key], join_path(path, key))
-        raw_content = value.get("content")
-        if not isinstance(raw_content, list):
-            self.error(join_path(path, "content"), MISSING_FIELD, "step needs a content list")
-            raw_content = []
-        content = [
-            self.content(c, f"{join_path(path, 'content')}[{i}]")
-            for i, c in enumerate(raw_content)
-        ]
-        return _from_json(
-            Step, value, id=sid, phase_id=pid, group_id=gid, content=content, **names
-        )
+    return read
+
+
+def _reader(hint: Any) -> _Reader:
+    """The reader a member's annotation gives, ``| None`` stripped: a ``str``
+    must hold a JSON string, ``Any`` any value, a model class an object read
+    member by member, and ``list[X]`` a list whose entries ``X``'s rule reads."""
+    if get_origin(hint) in (Union, UnionType):
+        (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+    if hint is Any:
+        return lambda issues, value, path: value
+    if hint is str:
+        return _string
+    if hint is list:  # a table row: entries of any type
+        return _leaf(list, "a list")
+    if get_origin(hint) is list:
+        return _list_of(_reader(get_args(hint)[0]))
+    if hint in JSON_MEMBERS:
+        return _model(hint)
+    raise TypeError(f"no parse rule for {hint!r}")
+
+
+def _rules(cls: type) -> tuple:
+    """(attribute, JSON member, optional, reader) of each member of ``cls``."""
+    hints = get_type_hints(cls)
+    declared = {f.name: f.metadata.get("read") for f in dc_fields(cls)}
+    return tuple(
+        (attr, name, optional, declared[attr] or _reader(hints[attr]))
+        for attr, name, optional in JSON_MEMBERS[cls]
+    )
+
+
+# Resolved once: get_type_hints evaluates every annotation string.
+_RULES = {cls: _rules(cls) for cls in JSON_MEMBERS}
+_read_record = _model(BmrRecord)
 
 
 def parse_record(value: Any) -> BmrRecord | list[ValidationIssue]:
     """Parse generic JSON into a typed record, or return every issue found.
 
-    Shape problems (missing members, bad type strings, malformed ids, ragged
-    table rows) are all reported with record paths. Every slot the schema
-    prompt types as ``string``, and every entry of a ``string[]``, follows one
-    rule: a missing required slot is MISSING_FIELD, a slot holding another
-    JSON type is BAD_FIELD_TYPE, and an optional slot may be missing or null.
-    So each such slot of a returned record holds a string, or None when it is
-    optional, and no consumer needs a type guard of its own. A form field's
-    value is the one exception: it is read, like every ``any`` slot, as
-    whatever JSON value it holds. Uniqueness and reference resolution are
+    Each member is read by the rule its annotation gives (see ``_reader``) or
+    by the reader it is declared with. So each string slot of a returned
+    record holds a string, or None when it is optional, and no consumer needs
+    a type guard of its own. Uniqueness and reference resolution are
     deliberately left to the structural validator so that layer can report
     them on an otherwise parseable record.
     """
-    p = _Parser()
-    if not isinstance(value, dict):
-        p.error("", MISSING_FIELD, "record must be a JSON object")
-        return p.issues
-
-    if "header" not in value:
-        p.error("header", MISSING_FIELD, "record is missing header")
-        header = Header.empty()
-    else:
-        header = p.header(value["header"])
-
-    arrays: dict[str, list] = {}
-    for key, parse_one in (("groups", p.group), ("phases", p.phase), ("steps", p.step)):
-        raw = value.get(key)
-        if key not in value or not isinstance(raw, list):
-            p.error(key, MISSING_FIELD, f"record needs a {key} array")
-            arrays[key] = []
-        else:
-            arrays[key] = [parse_one(v, f"{key}[{i}]") for i, v in enumerate(raw)]
-
-    if p.issues:
-        return p.issues
-    return _from_json(BmrRecord, value, header=header, **arrays)
+    issues: list[ValidationIssue] = []
+    record = _read_record(issues, value, "")
+    return issues or record
 
 
 # --------------------------------------------------------------------------

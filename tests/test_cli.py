@@ -128,6 +128,20 @@ def test_process_exit_2_reports_why_every_chunk_failed(tmp_path, monkeypatch, ca
     assert not any(path.exists() for path in outs)
 
 
+def test_process_exit_2_prints_each_chunk_issue_once(tmp_path, monkeypatch, capsys):
+    reply = clean_record_json()
+    reply["steps"][0]["content"][1]["fields"][0]["unit"] = 5
+    backend = ScriptedBackend([wrap_json(reply)])
+    monkeypatch.setattr(cli, "_make_backend", lambda cfg: backend)
+    out = tmp_path / "r.json"
+    assert run(["process", SAMPLE_BMR, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert backend.calls == 3
+    assert "chunk 0: SCHEMA_INVALID after 3 attempts\n" in err
+    assert err.count("BAD_FIELD_TYPE at steps[0].content[1].fields[0].unit") == 1
+    assert not out.exists()
+
+
 def test_process_exit_2_on_missing_input(tmp_path):
     assert run(["process", tmp_path / "missing.md", "--mock"]) == 2
 

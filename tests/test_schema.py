@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 import tempfile
+import typing
+from collections import Counter
+from typing import Any
 from unittest import mock
 
 import pytest
@@ -11,11 +15,21 @@ from hypothesis import example, given, settings, strategies as st
 import bmrkit.cli as cli
 from bmrkit.extraction import PROMPT_TEMPLATE
 from bmrkit.merge import resolve_cross_references
+from bmrkit.issues import LAYER_STRUCTURAL, ValidationIssue, issue_error
 from bmrkit.metrics import compute_metrics
 from bmrkit.schema import (
     ATTACHMENT_KINDS,
+    BAD_CONTENT_KIND,
+    BAD_FIELD_TYPE,
+    BAD_ID_FORMAT,
     CONTENT_KINDS,
+    FIELD_TYPES,
+    GROUP_ID_RE,
     HEADER_KEYS,
+    MISSING_FIELD,
+    PHASE_ID_RE,
+    ROW_WIDTH_MISMATCH,
+    STEP_ID_RE,
     JSON_MEMBERS,
     SCHEMA_TEMPLATE,
     BmrRecord,
@@ -30,6 +44,8 @@ from bmrkit.schema import (
     Step,
     Variable,
     _as_json,
+    is_field_type,
+    join_path,
     parse_record,
     schema_prompt_text,
     serialize_record,
@@ -385,3 +401,470 @@ def test_one_wrongly_typed_slot_never_crashes_a_consumer(golden_doc, path, new):
         for flag in ("--out", "--report-out", "--metrics-out"):
             argv += [flag, f"{out}/{flag[2:]}.json"]
         assert cli.main(argv) in (0, 1)
+
+
+# --------------------------------------------------------------------------
+# The member walk against the per-class parser it replaced, frozen here as
+# the reference. They differ in one place: a calculation result that is an
+# object without a value is read like any other object, so its MISSING_FIELD
+# is at ``result.value`` instead of ``result``, and its unit is checked too.
+
+
+def _oracle_from_json(cls: type, value: dict, **parsed: Any) -> Any:
+    """A ``cls`` built from the JSON object ``value``: each declared member as
+    given in ``parsed``, else as ``value`` holds it (None when absent), and
+    every undeclared member of ``value`` kept in ``extra``."""
+    for attr, name, _ in JSON_MEMBERS[cls]:
+        if attr not in parsed:
+            parsed[attr] = value.get(name)
+    declared = {name for _, name, _ in JSON_MEMBERS[cls]}
+    return cls(extra={k: v for k, v in value.items() if k not in declared}, **parsed)
+
+
+class _OracleParser:
+    def __init__(self) -> None:
+        self.issues: list[ValidationIssue] = []
+
+    def error(self, path: str, code: str, message: str) -> None:
+        self.issues.append(issue_error(LAYER_STRUCTURAL, path, code, message))
+
+    def string(self, slot: Any, path: str, required: bool = True) -> None:
+        """BAD_FIELD_TYPE unless ``slot`` holds a string, or null when optional."""
+        if not (isinstance(slot, str) or (slot is None and not required)):
+            self.error(path, BAD_FIELD_TYPE, f"expected a string, got {slot!r:.40}")
+
+    def strings(self, value: dict, path: str, required: tuple = (), optional: tuple = ()) -> None:
+        """The one rule for the members of ``value`` the schema types as
+        ``string``: a missing required one is MISSING_FIELD, one holding
+        another JSON type is BAD_FIELD_TYPE, and an optional one may be
+        missing or null."""
+        for key in required + optional:
+            if key in value:
+                self.string(value[key], join_path(path, key), key in required)
+            elif key in required:
+                self.error(join_path(path, key), MISSING_FIELD, "missing a required string")
+
+    def field(self, value: Any, path: str) -> Field:
+        if not isinstance(value, dict):
+            self.error(path, MISSING_FIELD, "expected a field object")
+            return Field(types=["text"])
+        types = value.get("type")
+        if "type" not in value:
+            self.error(join_path(path, "type"), MISSING_FIELD, "field is missing its type list")
+            types = ["text"]
+        elif not isinstance(types, list) or not types:
+            self.error(
+                join_path(path, "type"), BAD_FIELD_TYPE, "type must be a non-empty list"
+            )
+            types = ["text"]
+        else:
+            for t in types:
+                if not is_field_type(t):
+                    self.error(
+                        join_path(path, "type"), BAD_FIELD_TYPE, f"unknown field type {t!r}"
+                    )
+        if "value" not in value:
+            self.error(join_path(path, "value"), MISSING_FIELD, "field is missing its value")
+        return _oracle_from_json(Field, value, types=list(types))
+
+    def form_field(self, value: Any, path: str) -> FormField:
+        if not isinstance(value, dict):
+            self.error(path, MISSING_FIELD, "expected a form field object")
+            return FormField(label="")
+        self.strings(value, path, required=("label",), optional=("unit", "limits", "notes"))
+        if value.get("label") == "":
+            self.error(join_path(path, "label"), MISSING_FIELD, "form field needs a label")
+        if "value" not in value:
+            self.error(join_path(path, "value"), MISSING_FIELD, "form field is missing its value")
+        return _oracle_from_json(FormField, value)
+
+    def variable(self, value: Any, path: str) -> Variable:
+        if not isinstance(value, dict):
+            self.error(path, MISSING_FIELD, "expected a variable object")
+            return Variable(name="", description="")
+        self.strings(value, path, required=("name", "description"), optional=("unit",))
+        if value.get("name") == "":
+            self.error(join_path(path, "name"), MISSING_FIELD, "variable needs a name")
+        return _oracle_from_json(Variable, value)
+
+    def calculation(self, value: Any, path: str) -> Calculation:
+        if not isinstance(value, dict):
+            self.error(path, MISSING_FIELD, "expected a calculation object")
+            return Calculation(formula="")
+        self.strings(value, path, required=("formula",), optional=("notes",))
+        raw_vars = value.get("variables")
+        if not isinstance(raw_vars, list):
+            self.error(
+                join_path(path, "variables"), MISSING_FIELD, "calculation needs a variables list"
+            )
+            raw_vars = []
+        variables = [
+            self.variable(v, f"{join_path(path, 'variables')}[{i}]")
+            for i, v in enumerate(raw_vars)
+        ]
+        result = None
+        raw_result = value.get("result")
+        if raw_result is not None:
+            if not isinstance(raw_result, dict) or "value" not in raw_result:
+                self.error(join_path(path, "result"), MISSING_FIELD, "result needs a value")
+            else:
+                self.strings(raw_result, join_path(path, "result"), optional=("unit",))
+                result = _oracle_from_json(CalcResult, raw_result)
+        return _oracle_from_json(Calculation, value, variables=variables, result=result)
+
+    def content(self, value: Any, path: str) -> Content:
+        if not isinstance(value, dict):
+            self.error(path, MISSING_FIELD, "expected a content object")
+            return Content(kind="paragraph")
+        kind = value.get("type")
+        if "type" not in value:
+            self.error(join_path(path, "type"), MISSING_FIELD, "content is missing its type")
+            kind = "paragraph"
+        elif not isinstance(kind, str) or kind not in CONTENT_KINDS:
+            self.error(
+                join_path(path, "type"), BAD_CONTENT_KIND, f"unknown content kind {kind!r}"
+            )
+            kind = "paragraph"
+        self.strings(value, path, required=("text",))
+
+        items = value.get("items")
+        if items is not None and not isinstance(items, list):
+            self.error(join_path(path, "items"), MISSING_FIELD, "items must be a list")
+            items = None
+        fields = None
+        raw_fields = value.get("fields")
+        if raw_fields is not None:
+            if not isinstance(raw_fields, list):
+                self.error(join_path(path, "fields"), MISSING_FIELD, "fields must be a list")
+            else:
+                fields = [
+                    self.form_field(f, f"{join_path(path, 'fields')}[{i}]")
+                    for i, f in enumerate(raw_fields)
+                ]
+        calculation = None
+        if value.get("calculation") is not None:
+            calculation = self.calculation(
+                value["calculation"], join_path(path, "calculation")
+            )
+        headers = value.get("headers")
+        if headers is not None and not isinstance(headers, list):
+            self.error(join_path(path, "headers"), MISSING_FIELD, "headers must be a list")
+            headers = None
+        for key, entries in (("items", items), ("headers", headers)):
+            for i, entry in enumerate(entries or []):
+                self.string(entry, f"{join_path(path, key)}[{i}]")
+        rows = value.get("rows")
+        if rows is not None and not isinstance(rows, list):
+            self.error(join_path(path, "rows"), MISSING_FIELD, "rows must be a list")
+            rows = None
+        for i, row in enumerate(rows or []):
+            row_path = f"{join_path(path, 'rows')}[{i}]"
+            if not isinstance(row, list):
+                self.error(row_path, BAD_FIELD_TYPE, "row must be a list")
+            elif kind == "table" and headers is not None and len(row) != len(headers):
+                message = f"row width differs from {len(headers)} header columns"
+                self.error(row_path, ROW_WIDTH_MISMATCH, message)
+        link = value.get("link")
+        if isinstance(link, dict):
+            self.strings(link, join_path(path, "link"), required=("link_text", "url"))
+        elif link is not None:
+            self.error(join_path(path, "link"), MISSING_FIELD, "link must be an object")
+            link = None
+        attachment = value.get("attachment")
+        if isinstance(attachment, dict):
+            self.strings(
+                attachment, join_path(path, "attachment"), required=("name",),
+                optional=("reference",),
+            )
+        elif attachment is not None:
+            self.error(
+                join_path(path, "attachment"), MISSING_FIELD, "attachment must be an object"
+            )
+            attachment = None
+
+        # Kind-specific payload requirements.
+        if kind == "table":
+            if headers is None:
+                self.error(join_path(path, "headers"), MISSING_FIELD, "table needs headers")
+        elif kind == "data_form":
+            if not fields:
+                self.error(
+                    join_path(path, "fields"), MISSING_FIELD, "data_form needs form fields"
+                )
+        elif kind == "calculation":
+            if calculation is None:
+                self.error(
+                    join_path(path, "calculation"),
+                    MISSING_FIELD,
+                    "calculation content needs a calculation payload",
+                )
+        elif kind in ("bullet_list", "numbered_list"):
+            if items is None:
+                self.error(join_path(path, "items"), MISSING_FIELD, f"{kind} needs items")
+        elif kind == "link":
+            if link is None:
+                self.error(join_path(path, "link"), MISSING_FIELD, "link content needs a link")
+        elif kind == "attachments":
+            if attachment is None:
+                self.error(
+                    join_path(path, "attachment"),
+                    MISSING_FIELD,
+                    "attachments content needs an attachment payload",
+                )
+            elif not (
+                isinstance(attachment.get("kind"), str) and attachment["kind"] in ATTACHMENT_KINDS
+            ):
+                self.error(
+                    f"{join_path(path, 'attachment')}.kind",
+                    BAD_FIELD_TYPE,
+                    f"attachment kind must be one of {sorted(ATTACHMENT_KINDS)}",
+                )
+
+        return _oracle_from_json(
+            Content, value, kind=kind, items=items, fields=fields, calculation=calculation,
+            headers=headers, rows=rows, link=link, attachment=attachment,
+        )
+
+    def identifier(self, value: Any, path: str, pattern: re.Pattern) -> str:
+        if not isinstance(value, str) or value == "":
+            self.error(path, MISSING_FIELD, "missing id")
+            return ""
+        if not pattern.match(value):
+            self.error(path, BAD_ID_FORMAT, f"id {value!r} does not match the expected format")
+        return value
+
+    def header(self, value: Any) -> Header:
+        if not isinstance(value, dict):
+            self.error("header", MISSING_FIELD, "header must be an object")
+            return Header.empty()
+        fields = {}
+        for key in HEADER_KEYS:
+            if key not in value:
+                self.error(join_path("header", key), MISSING_FIELD, f"header is missing {key}")
+                fields[key] = Field(["text"])
+            else:
+                fields[key] = self.field(value[key], join_path("header", key))
+        return _oracle_from_json(Header, value, **fields)
+
+    def group(self, value: Any, path: str) -> Group:
+        if not isinstance(value, dict):
+            self.error(path, MISSING_FIELD, "expected a group object")
+            return Group(id="", group_name=Field(["text"]))
+        gid = self.identifier(value.get("id"), join_path(path, "id"), GROUP_ID_RE)
+        if "group_name" not in value:
+            self.error(join_path(path, "group_name"), MISSING_FIELD, "group needs group_name")
+            name = Field(["text"])
+        else:
+            name = self.field(value["group_name"], join_path(path, "group_name"))
+        return _oracle_from_json(Group, value, id=gid, group_name=name)
+
+    def phase(self, value: Any, path: str) -> Phase:
+        if not isinstance(value, dict):
+            self.error(path, MISSING_FIELD, "expected a phase object")
+            return Phase(id="", group_id="", phase_name=Field(["text"]))
+        pid = self.identifier(value.get("id"), join_path(path, "id"), PHASE_ID_RE)
+        gid = self.identifier(value.get("group_id"), join_path(path, "group_id"), GROUP_ID_RE)
+        if "phase_name" not in value:
+            self.error(join_path(path, "phase_name"), MISSING_FIELD, "phase needs phase_name")
+            name = Field(["text"])
+        else:
+            name = self.field(value["phase_name"], join_path(path, "phase_name"))
+        return _oracle_from_json(Phase, value, id=pid, group_id=gid, phase_name=name)
+
+    def step(self, value: Any, path: str) -> Step:
+        if not isinstance(value, dict):
+            self.error(path, MISSING_FIELD, "expected a step object")
+            return Step(
+                id="", phase_id="", group_id="",
+                step_name=Field(["text"]), step_type=Field(["text"]),
+            )
+        sid = self.identifier(value.get("id"), join_path(path, "id"), STEP_ID_RE)
+        pid = self.identifier(value.get("phase_id"), join_path(path, "phase_id"), PHASE_ID_RE)
+        gid = self.identifier(value.get("group_id"), join_path(path, "group_id"), GROUP_ID_RE)
+        names = {}
+        for key in ("step_name", "step_type"):
+            if key not in value:
+                self.error(join_path(path, key), MISSING_FIELD, f"step needs {key}")
+                names[key] = Field(["text"])
+            else:
+                names[key] = self.field(value[key], join_path(path, key))
+        raw_content = value.get("content")
+        if not isinstance(raw_content, list):
+            self.error(join_path(path, "content"), MISSING_FIELD, "step needs a content list")
+            raw_content = []
+        content = [
+            self.content(c, f"{join_path(path, 'content')}[{i}]")
+            for i, c in enumerate(raw_content)
+        ]
+        return _oracle_from_json(
+            Step, value, id=sid, phase_id=pid, group_id=gid, content=content, **names
+        )
+
+
+def oracle_parse_record(value: Any) -> BmrRecord | list[ValidationIssue]:
+    """Parse generic JSON into a typed record, or return every issue found.
+
+    Shape problems (missing members, bad type strings, malformed ids, ragged
+    table rows) are all reported with record paths. Every slot the schema
+    prompt types as ``string``, and every entry of a ``string[]``, follows one
+    rule: a missing required slot is MISSING_FIELD, a slot holding another
+    JSON type is BAD_FIELD_TYPE, and an optional slot may be missing or null.
+    So each such slot of a returned record holds a string, or None when it is
+    optional, and no consumer needs a type guard of its own. A form field's
+    value is the one exception: it is read, like every ``any`` slot, as
+    whatever JSON value it holds. Uniqueness and reference resolution are
+    deliberately left to the structural validator so that layer can report
+    them on an otherwise parseable record.
+    """
+    p = _OracleParser()
+    if not isinstance(value, dict):
+        p.error("", MISSING_FIELD, "record must be a JSON object")
+        return p.issues
+
+    if "header" not in value:
+        p.error("header", MISSING_FIELD, "record is missing header")
+        header = Header.empty()
+    else:
+        header = p.header(value["header"])
+
+    arrays: dict[str, list] = {}
+    for key, parse_one in (("groups", p.group), ("phases", p.phase), ("steps", p.step)):
+        raw = value.get(key)
+        if key not in value or not isinstance(raw, list):
+            p.error(key, MISSING_FIELD, f"record needs a {key} array")
+            arrays[key] = []
+        else:
+            arrays[key] = [parse_one(v, f"{key}[{i}]") for i, v in enumerate(raw)]
+
+    if p.issues:
+        return p.issues
+    return _oracle_from_json(BmrRecord, value, header=header, **arrays)
+
+
+def _all_slots(value, path=()):
+    """The path of every member and list entry below ``value``."""
+    children = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, child in children:
+        yield path + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _all_slots(child, path + (key,))
+
+
+_ALL_SLOTS = list(_all_slots(_full_golden_record()))
+_DELETE = object()
+_NAMES = sorted(CONTENT_KINDS | ATTACHMENT_KINDS | FIELD_TYPES) + ["", "step-1", "phase-0", "x"]
+_slot_values = (
+    st.just(_DELETE)
+    | _json_values
+    | st.sampled_from(_NAMES)
+    | st.lists(st.sampled_from(_NAMES), max_size=3)
+)
+
+
+def _mutate(value, path, new):
+    node = value
+    try:
+        for key in path[:-1]:
+            node = node[key]
+        if new is _DELETE:
+            del node[path[-1]]
+        else:
+            node[path[-1]] = new
+    except (KeyError, IndexError, TypeError):
+        pass  # an earlier mutation removed or replaced a parent of this slot
+
+
+def _expected_codes(value, oracle_issues):
+    """The oracle's (code, path) multiset, with the result rule above applied."""
+    expected = Counter(_codes(oracle_issues))
+    steps = value.get("steps") if isinstance(value, dict) else None
+    for i, step in enumerate(steps if isinstance(steps, list) else ()):
+        content = step.get("content") if isinstance(step, dict) else None
+        for j, block in enumerate(content if isinstance(content, list) else ()):
+            calc = block.get("calculation") if isinstance(block, dict) else None
+            result = calc.get("result") if isinstance(calc, dict) else None
+            if isinstance(result, dict) and "value" not in result:
+                path = f"steps[{i}].content[{j}].calculation.result"
+                expected[("MISSING_FIELD", path)] -= 1
+                expected[("MISSING_FIELD", f"{path}.value")] += 1
+                if not isinstance(result.get("unit"), (str, type(None))):
+                    expected[("BAD_FIELD_TYPE", f"{path}.unit")] += 1
+    return +expected
+
+
+_CALC = ("steps", 2, "content", 2, "calculation")
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mutations=st.lists(
+        st.tuples(st.sampled_from(_ALL_SLOTS), _slot_values), min_size=1, max_size=3
+    )
+)
+@example(mutations=[(_CALC + ("result", "value"), _DELETE), (_CALC + ("result", "unit"), 5)])
+@example(mutations=[(_CALC, 5)])
+@example(mutations=[(_CALC, None)])
+@example(mutations=[(("steps", 0, "content", 2, "link"), 5)])
+@example(mutations=[(("steps", 0, "content", 3, "attachment", "kind"), ["BOM"])])
+@example(mutations=[(("steps", 0, "content", 0, "type"), "data_form")])
+@example(mutations=[(("steps", 1, "content", 1, "fields"), [])])
+@example(mutations=[(("steps", 0, "content", 0, "rows", 0), 5)])
+def test_parser_matches_the_per_class_oracle(mutations):
+    value = _full_golden_record()
+    for path, new in mutations:
+        _mutate(value, path, new)
+    got, want = parse_record(value), oracle_parse_record(value)
+    if isinstance(want, list):
+        assert Counter(_codes(got)) == _expected_codes(value, want)
+    else:
+        assert isinstance(got, BmrRecord)
+        assert json.dumps(serialize_record(got)) == json.dumps(serialize_record(want))
+
+
+def _first_paths(obj, path=(), found=None):
+    """The path of the first instance of each model class in a parsed record."""
+    found = {} if found is None else found
+    if type(obj) in JSON_MEMBERS:
+        found.setdefault(type(obj), path)
+        for attr, name, _ in JSON_MEMBERS[type(obj)]:
+            _first_paths(getattr(obj, attr), path + (name,), found)
+    elif isinstance(obj, list):
+        for i, entry in enumerate(obj):
+            _first_paths(entry, path + (i,), found)
+    return found
+
+
+def _string_members():
+    """(class, member) of every member a model class annotates as ``str``."""
+    for cls, members in JSON_MEMBERS.items():
+        hints = typing.get_type_hints(cls)
+        for attr, name, _ in members:
+            if hints[attr] is str or set(typing.get_args(hints[attr])) == {str, type(None)}:
+                yield cls, name
+
+
+# The string members whose own rule gives another code for a non-string.
+_NON_STRING_CODES = {
+    (Content, "type"): "BAD_CONTENT_KIND",
+    (Group, "id"): "MISSING_FIELD",
+    (Phase, "id"): "MISSING_FIELD",
+    (Phase, "group_id"): "MISSING_FIELD",
+    (Step, "id"): "MISSING_FIELD",
+    (Step, "phase_id"): "MISSING_FIELD",
+    (Step, "group_id"): "MISSING_FIELD",
+}
+
+
+@pytest.mark.parametrize(
+    "cls, name", list(_string_members()), ids=lambda v: getattr(v, "__name__", v)
+)
+def test_every_declared_string_member_refuses_a_number(cls, name):
+    value = _full_golden_record()
+    where = _first_paths(parse_record(value))[cls]
+    node = value
+    for key in where:
+        node = node[key]
+    node[name] = 5
+    path = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in where + (name,))
+    code = _NON_STRING_CODES.get((cls, name), "BAD_FIELD_TYPE")
+    assert _codes(parse_record(value)) == [(code, path.lstrip("."))]
