@@ -100,11 +100,7 @@ def _make_backend(cfg: PipelineConfig):
 
 def _print_issues(issues: list[ValidationIssue], indent: str) -> None:
     """Each distinct issue line once: a chunk's failed attempts often repeat one."""
-    lines = []
-    for issue in issues:
-        where = f" at {issue.path}" if issue.path else ""
-        lines.append(f"{indent}{issue.code}{where}: {issue.message}")
-    for line in dict.fromkeys(lines):
+    for line in dict.fromkeys(f"{indent}{issue.line()}" for issue in issues):
         print(line, file=sys.stderr)
 
 

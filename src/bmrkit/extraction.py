@@ -149,9 +149,7 @@ def _repair_section(issues: list[ValidationIssue]) -> str:
         "",
         "Your previous response was rejected for the following reasons:",
     ]
-    for issue in issues:
-        where = f" at {issue.path}" if issue.path else ""
-        lines.append(f"- {issue.code}{where}: {issue.message}")
+    lines += [f"- {issue.line()}" for issue in issues]
     lines.append(
         "Return the complete corrected JSON, wrapped in <json></json> tags."
     )

@@ -23,6 +23,11 @@ class ValidationIssue:
     def to_json(self) -> dict:
         return asdict(self)
 
+    def line(self) -> str:
+        """``CODE at path: message``, or ``CODE: message`` at the root."""
+        where = f" at {self.path}" if self.path else ""
+        return f"{self.code}{where}: {self.message}"
+
 
 def issue_error(layer: str, path: str, code: str, message: str) -> ValidationIssue:
     return ValidationIssue(layer, SEVERITY_ERROR, path, code, message)

@@ -9,7 +9,7 @@ against the assembled record.
 from __future__ import annotations
 
 import re
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 from .issues import (
@@ -49,9 +49,6 @@ class CrossReference:
     ref_text: str
     target_path: str | None = None
     resolved: bool = False
-
-    def to_json(self) -> dict:
-        return asdict(self)
 
 
 def renumber_ids(
@@ -190,23 +187,29 @@ DOC_CODE_RE = re.compile(r"(?=[A-Z])\b[A-Z]{2,4}-\d{4,6}(?![-\d])")
 UNRESOLVABLE_NOTE_RE = re.compile(r"as(?<!\was)\s+per\s+(?:the\s+)?above\b[\w\s]*", re.IGNORECASE)
 
 
+# (pattern, target kind) of each reference phrase, in the order the refs of
+# one text are listed. A figure or table ordinal names the Nth image or table
+# content in document order, a step ordinal the step with that id suffix.
+# Document codes and "as per above" notes have no kind: their targets live
+# outside the record, and guessing one for "as per above procedure" would
+# fabricate a link.
+REFERENCE_RULES = (
+    (FIGURE_REF_RE, "image"),
+    (TABLE_REF_RE, "table"),
+    (STEP_REF_RE, "step"),
+    (DOC_CODE_RE, None),
+    (UNRESOLVABLE_NOTE_RE, None),
+)
+
+
 def detect_reference_texts(text: str) -> list[str]:
     """Reference phrases present in free text, in order of appearance."""
     found: list[tuple[int, str]] = []
-    for rx in (FIGURE_REF_RE, TABLE_REF_RE, STEP_REF_RE, DOC_CODE_RE, UNRESOLVABLE_NOTE_RE):
+    for rx, _ in REFERENCE_RULES:
         for m in rx.finditer(text):
             found.append((m.start(), m.group(0)))
     found.sort()
     return [t for _, t in found]
-
-
-def _content_paths_by_kind(record: BmrRecord, kind: str) -> list[str]:
-    paths = []
-    for i, step in enumerate(record.steps):
-        for j, content in enumerate(step.content):
-            if content.kind == kind:
-                paths.append(f"steps[{i}].content[{j}]")
-    return paths
 
 
 def resolve_cross_references(
@@ -214,54 +217,29 @@ def resolve_cross_references(
 ) -> tuple[BmrRecord, list[CrossReference]]:
     """Link "See Figure/Table/step N" mentions and collect document codes.
 
-    Figure and table ordinals resolve to the Nth image/table content in
-    document order. Resolved references gain a link annotation on the
-    referring content; document codes and "as per above" style notes are
-    returned unresolved since their targets live outside the record.
+    Each reference whose kind has a target of that ordinal is resolved and
+    gains a link annotation on the referring content; the others, document
+    codes and "as per above" style notes among them, are returned unresolved.
     """
-    refs: list[CrossReference] = []
-    image_paths = _content_paths_by_kind(record, "image")
-    table_paths = _content_paths_by_kind(record, "table")
-    step_by_suffix = {
-        id_suffix(s.id): i for i, s in enumerate(record.steps) if id_suffix(s.id) > 0
-    }
+    targets: dict[str, dict[int, str]] = {"image": {}, "table": {}, "step": {}}
+    for i, step in enumerate(record.steps):
+        if id_suffix(step.id) > 0:
+            targets["step"][id_suffix(step.id)] = f"steps[{i}]"
+        for j, content in enumerate(step.content):
+            if content.kind in ("image", "table"):
+                by_ordinal = targets[content.kind]
+                by_ordinal[len(by_ordinal) + 1] = f"steps[{i}].content[{j}]"
 
+    refs: list[CrossReference] = []
     for i, step in enumerate(record.steps):
         for j, content in enumerate(step.content):
             path = f"steps[{i}].content[{j}]"
             for text in [content.text, *(content.items or [])]:
-                for m in FIGURE_REF_RE.finditer(text):
-                    ordinal = int(m.group(1))
-                    target = (
-                        image_paths[ordinal - 1] if 0 < ordinal <= len(image_paths) else None
-                    )
-                    refs.append(
-                        _annotate(content, path, m.group(0), target)
-                    )
-                for m in TABLE_REF_RE.finditer(text):
-                    ordinal = int(m.group(1))
-                    target = (
-                        table_paths[ordinal - 1] if 0 < ordinal <= len(table_paths) else None
-                    )
-                    refs.append(_annotate(content, path, m.group(0), target))
-                for m in STEP_REF_RE.finditer(text):
-                    ordinal = int(m.group(1))
-                    target = (
-                        f"steps[{step_by_suffix[ordinal]}]"
-                        if ordinal in step_by_suffix
-                        else None
-                    )
-                    refs.append(_annotate(content, path, m.group(0), target))
-                for m in DOC_CODE_RE.finditer(text):
-                    refs.append(
-                        CrossReference(source_path=path, ref_text=m.group(0))
-                    )
-                for m in UNRESOLVABLE_NOTE_RE.finditer(text):
-                    # Reported but never auto-resolved: guessing a target for
-                    # "as per above procedure" would fabricate a link.
-                    refs.append(
-                        CrossReference(source_path=path, ref_text=m.group(0).strip())
-                    )
+                for rx, kind in REFERENCE_RULES:
+                    for m in rx.finditer(text):
+                        target = kind and targets[kind].get(int(m.group(1)))
+                        # Only a note match can end in whitespace; its ref drops it.
+                        refs.append(_annotate(content, path, m.group(0).strip(), target))
     return record, refs
 
 

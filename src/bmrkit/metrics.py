@@ -50,6 +50,7 @@ from .grammar import (
 from .ingest import SourceDocument, scan_image_markers
 from .merge import CrossReference, detect_reference_texts
 from .schema import BmrRecord, Content, FormField, HEADER_KEYS
+from .validation import parent_link_faults
 
 STATUS_EXCELLENT = "Excellent"
 STATUS_ACCEPTABLE = "Acceptable"
@@ -367,22 +368,10 @@ class RecordIndex:
 
     @cached_property
     def parent_links(self) -> tuple[int, int]:
-        """(valid, total) phase-to-group and step-to-phase/group links. A
-        step's group link is valid only when it also matches its phase's
-        group."""
+        """(valid, total) phase-to-group and step-to-phase/group links."""
         record = self.record
-        group_ids = {g.id for g in record.groups}
-        phase_by_id = {p.id: p for p in record.phases}
-        valid = sum(phase.group_id in group_ids for phase in record.phases)
-        for step in record.steps:
-            phase = phase_by_id.get(step.phase_id)
-            valid += phase is not None
-            valid += (
-                step.group_id in group_ids
-                and phase is not None
-                and step.group_id == phase.group_id
-            )
-        return valid, len(record.phases) + 2 * len(record.steps)
+        total = len(record.phases) + 2 * len(record.steps)
+        return total - sum(1 for _ in parent_link_faults(record)), total
 
 
 # --------------------------------------------------------------------------
@@ -617,24 +606,22 @@ def detect_unit_pairs(text: str) -> list[tuple[str, str]]:
 
 
 def _record_unit_pairs(record: BmrRecord) -> set[tuple[str, str]]:
+    """The pairs inside each string, and the value and unit of each form
+    field, calculation variable and calculation result."""
     pairs: set[tuple[str, str]] = set()
     for text in iter_record_strings(record):
         pairs.update(detect_unit_pairs(text))
     for content in _iter_contents(record):
-        for form_field in content.fields or []:
-            number = _canon_number(form_field.value)
-            if number is not None and form_field.unit:
-                pairs.add((number, _canon_unit(form_field.unit)))
-        if content.calculation is not None:
-            calc = content.calculation
-            for variable in calc.variables:
-                number = _canon_number(variable.value)
-                if number is not None and variable.unit:
-                    pairs.add((number, _canon_unit(variable.unit)))
+        slots = list(content.fields or [])
+        calc = content.calculation
+        if calc is not None:
+            slots += calc.variables
             if calc.result is not None:
-                number = _canon_number(calc.result.value)
-                if number is not None and calc.result.unit:
-                    pairs.add((number, _canon_unit(calc.result.unit)))
+                slots.append(calc.result)
+        for slot in slots:
+            number = _canon_number(slot.value)
+            if number is not None and slot.unit:
+                pairs.add((number, _canon_unit(slot.unit)))
     return pairs
 
 

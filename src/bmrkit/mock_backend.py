@@ -33,8 +33,9 @@ from .schema import (
 
 _H1_RE = re.compile(r"^#\s+(.+?)\s*$")
 _H2_RE = re.compile(r"^##\s+(.+?)\s*$")
-_H3_PHASE_RE = re.compile(r"^###\s+Phase\s+(\d+)\s*:\s*(.+?)\s*$", re.IGNORECASE)
-_H3_RE = re.compile(r"^###\s+(.+?)\s*$")
+# A "### Phase N: name" heading is named after its colon, any other "###"
+# heading by its whole text.
+_H3_RE = re.compile(r"^###\s+(?:Phase\s+\d+\s*:\s*(.+?)|(.+?))\s*$", re.IGNORECASE)
 _BOLD_META_RE = re.compile(r"^\*\*([^*]+?)\s*:\s*\*\*\s*:?\s*(.+?)\s*$")
 
 _HEADER_META_KEYS = {
@@ -214,18 +215,12 @@ def extract_markdown_record(text: str) -> BmrRecord:
                 setattr(builder.header, attr, Field(types, meta.group(2).strip()))
                 i += 1
                 continue
-        phase = _H3_PHASE_RE.match(line)
-        if phase:
-            builder.flush_runs()
-            builder.open_phase(phase.group(2))
-            builder.section_heading = phase.group(2)
-            i += 1
-            continue
         h3 = _H3_RE.match(line)
         if h3:
             builder.flush_runs()
-            builder.open_phase(h3.group(1))
-            builder.section_heading = h3.group(1)
+            name = h3.group(1) or h3.group(2)
+            builder.open_phase(name)
+            builder.section_heading = name
             i += 1
             continue
         h2 = _H2_RE.match(line)

@@ -359,9 +359,11 @@ _KIND_PAYLOAD = {
 }
 
 
-def _check_content(issues: list, content: Content, path: str) -> None:
+def _check_content(issues: list, content: Content, value: dict, path: str) -> None:
     """What a content block's kind asks of it: its payload, a table's row
-    width and an attachment's kind."""
+    width and an attachment's kind. A payload member of another type was
+    reported by its reader, so only an absent or null one (or an empty form)
+    is reported here."""
     kind = content.kind
     if kind == "table" and content.headers is not None:
         width = len(content.headers)
@@ -373,10 +375,10 @@ def _check_content(issues: list, content: Content, path: str) -> None:
     if name is None:
         return
     payload = getattr(content, name)
-    if payload is None or (kind == "data_form" and not payload):
+    if value.get(name) is None or (kind == "data_form" and payload == []):
         message = f"{kind} content needs its {name} payload"
         _error(issues, join_path(path, name), MISSING_FIELD, message)
-    elif kind == "attachments" and not (
+    elif kind == "attachments" and payload is not None and not (
         isinstance(payload.get("kind"), str) and payload["kind"] in ATTACHMENT_KINDS
     ):
         message = f"attachment kind must be one of {sorted(ATTACHMENT_KINDS)}"
@@ -399,7 +401,7 @@ def _model(cls: type) -> _Reader:
             **_members(issues, value, path, _RULES[cls]),
         )
         if cls is Content:
-            _check_content(issues, parsed, path)
+            _check_content(issues, parsed, value, path)
         return parsed
 
     return read

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field as dc_field
-from typing import Any
+from typing import Any, Iterator
 
 from .issues import (
     LAYER_COMPLIANCE,
@@ -154,6 +154,32 @@ def _walk_syntactic(value: dict | list, path: tuple | None, issues: list[Validat
 # Layer 2: structural
 
 
+def parent_link_faults(record: BmrRecord) -> Iterator[tuple[str, str | None, str]]:
+    """(path, code, message) of each invalid parent link: each phase's group
+    link, then each step's phase link and group link. A step's group link is
+    valid only when it also matches its phase's group; when the phase is
+    missing, the group link is invalid with code None, since the phase link
+    already carries the issue."""
+    group_ids = {g.id for g in record.groups}
+    phase_by_id = {p.id: p for p in record.phases}
+    for i, phase in enumerate(record.phases):
+        if phase.group_id not in group_ids:
+            yield f"phases[{i}].group_id", DANGLING_REF, f"no group with id {phase.group_id!r}"
+    for i, step in enumerate(record.steps):
+        phase = phase_by_id.get(step.phase_id)
+        if phase is None:
+            yield f"steps[{i}].phase_id", DANGLING_REF, f"no phase with id {step.phase_id!r}"
+        if step.group_id not in group_ids:
+            yield f"steps[{i}].group_id", DANGLING_REF, f"no group with id {step.group_id!r}"
+        elif phase is None:
+            yield f"steps[{i}].group_id", None, ""
+        elif step.group_id != phase.group_id:
+            yield f"steps[{i}].group_id", GROUP_MISMATCH, (
+                f"step group {step.group_id!r} differs from its phase's "
+                f"group {phase.group_id!r}"
+            )
+
+
 def validate_structural(record: BmrRecord) -> list[ValidationIssue]:
     """Class separation, id uniqueness, referential integrity, id ordering."""
     issues: list[ValidationIssue] = []
@@ -192,40 +218,9 @@ def validate_structural(record: BmrRecord) -> list[ValidationIssue]:
             else:
                 seen[obj.id] = f"{name}[{i}].id"
 
-    group_ids = {g.id for g in record.groups}
-    phase_by_id = {p.id: p for p in record.phases}
-    for i, phase in enumerate(record.phases):
-        if phase.group_id not in group_ids:
-            issues.append(
-                issue_error(
-                    LAYER_STRUCTURAL, f"phases[{i}].group_id", DANGLING_REF,
-                    f"no group with id {phase.group_id!r}",
-                )
-            )
-    for i, step in enumerate(record.steps):
-        phase = phase_by_id.get(step.phase_id)
-        if phase is None:
-            issues.append(
-                issue_error(
-                    LAYER_STRUCTURAL, f"steps[{i}].phase_id", DANGLING_REF,
-                    f"no phase with id {step.phase_id!r}",
-                )
-            )
-        if step.group_id not in group_ids:
-            issues.append(
-                issue_error(
-                    LAYER_STRUCTURAL, f"steps[{i}].group_id", DANGLING_REF,
-                    f"no group with id {step.group_id!r}",
-                )
-            )
-        elif phase is not None and step.group_id != phase.group_id:
-            issues.append(
-                issue_error(
-                    LAYER_STRUCTURAL, f"steps[{i}].group_id", GROUP_MISMATCH,
-                    f"step group {step.group_id!r} differs from its phase's "
-                    f"group {phase.group_id!r}",
-                )
-            )
+    for path, code, message in parent_link_faults(record):
+        if code is not None:
+            issues.append(issue_error(LAYER_STRUCTURAL, path, code, message))
 
     # Ordering is meaningless once duplicates exist in an array, so the
     # sequence check is suppressed there; the duplicate is already reported.

@@ -10,6 +10,7 @@ from bmrkit.extraction import ChunkResult
 from bmrkit.merge import (
     CHUNK_MISSING,
     DANGLING_LOCAL_REF,
+    CrossReference,
     EmptyMergeError,
     HEADER_CONFLICT,
     MergeState,
@@ -19,7 +20,7 @@ from bmrkit.merge import (
     resolve_cross_references,
 )
 from bmrkit.metrics import hierarchy_preservation
-from bmrkit.schema import BmrRecord, parse_record
+from bmrkit.schema import BmrRecord, id_suffix, parse_record
 
 from conftest import clean_record_json
 
@@ -279,3 +280,140 @@ def test_as_per_above_detected_never_resolved():
     (ref,) = refs
     assert ref.resolved is False
     assert "as per above" in ref.ref_text
+
+
+# --------------------------------------------------------------------------
+# The reference rule table against the five hand-written loops it replaced,
+# frozen here as the reference.
+
+
+def oracle_detect_reference_texts(text: str) -> list[str]:
+    found: list[tuple[int, str]] = []
+    for rx in (
+        merge.FIGURE_REF_RE, merge.TABLE_REF_RE, merge.STEP_REF_RE,
+        merge.DOC_CODE_RE, merge.UNRESOLVABLE_NOTE_RE,
+    ):
+        for m in rx.finditer(text):
+            found.append((m.start(), m.group(0)))
+    found.sort()
+    return [t for _, t in found]
+
+
+def _oracle_content_paths_by_kind(record: BmrRecord, kind: str) -> list[str]:
+    paths = []
+    for i, step in enumerate(record.steps):
+        for j, content in enumerate(step.content):
+            if content.kind == kind:
+                paths.append(f"steps[{i}].content[{j}]")
+    return paths
+
+
+def _oracle_annotate(content, path, ref_text, target):
+    if target is None:
+        return CrossReference(source_path=path, ref_text=ref_text)
+    if content.link is None:
+        content.link = {"link_text": ref_text, "url": f"#{target}"}
+    return CrossReference(source_path=path, ref_text=ref_text, target_path=target, resolved=True)
+
+
+def oracle_resolve_cross_references(record: BmrRecord):
+    refs: list[CrossReference] = []
+    image_paths = _oracle_content_paths_by_kind(record, "image")
+    table_paths = _oracle_content_paths_by_kind(record, "table")
+    step_by_suffix = {
+        id_suffix(s.id): i for i, s in enumerate(record.steps) if id_suffix(s.id) > 0
+    }
+
+    for i, step in enumerate(record.steps):
+        for j, content in enumerate(step.content):
+            path = f"steps[{i}].content[{j}]"
+            for text in [content.text, *(content.items or [])]:
+                for m in merge.FIGURE_REF_RE.finditer(text):
+                    ordinal = int(m.group(1))
+                    target = (
+                        image_paths[ordinal - 1] if 0 < ordinal <= len(image_paths) else None
+                    )
+                    refs.append(_oracle_annotate(content, path, m.group(0), target))
+                for m in merge.TABLE_REF_RE.finditer(text):
+                    ordinal = int(m.group(1))
+                    target = (
+                        table_paths[ordinal - 1] if 0 < ordinal <= len(table_paths) else None
+                    )
+                    refs.append(_oracle_annotate(content, path, m.group(0), target))
+                for m in merge.STEP_REF_RE.finditer(text):
+                    ordinal = int(m.group(1))
+                    target = (
+                        f"steps[{step_by_suffix[ordinal]}]"
+                        if ordinal in step_by_suffix
+                        else None
+                    )
+                    refs.append(_oracle_annotate(content, path, m.group(0), target))
+                for m in merge.DOC_CODE_RE.finditer(text):
+                    refs.append(CrossReference(source_path=path, ref_text=m.group(0)))
+                for m in merge.UNRESOLVABLE_NOTE_RE.finditer(text):
+                    refs.append(
+                        CrossReference(source_path=path, ref_text=m.group(0).strip())
+                    )
+    return record, refs
+
+
+# Ordinals 0-4 against records with up to three images and tables each, so
+# some resolve and some fall out of range.
+_ref_phrases = st.sampled_from(
+    (
+        "See Figure ", "see figure ", "Refer to Table ", "see table ", "See step ",
+        "SEE STEP ",
+    )
+)
+_ref_pieces = st.one_of(
+    st.tuples(_ref_phrases, st.integers(0, 4).map(str)).map("".join),
+    st.sampled_from(
+        (
+            "SOP-1234", "POL-00017", "as per above procedure  ", "As per the above\n",
+            "mix", " ", "\n", ". ", "x", "12",
+        )
+    ),
+)
+_ref_texts = st.lists(_ref_pieces, max_size=6).map(" ".join)
+
+
+@st.composite
+def referring_records(draw) -> dict:
+    value = clean_record_json()
+    template = value["steps"][0]
+    value["steps"] = []
+    for k in draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)):
+        content = []
+        kinds = st.sampled_from(("image", "table", "note", "bullet_list"))
+        for kind in draw(st.lists(kinds, max_size=4)):
+            block = {"type": kind, "text": draw(_ref_texts)}
+            if kind == "table":
+                block.update(headers=["a"], rows=[["1"]])
+            elif kind == "bullet_list":
+                block["items"] = draw(st.lists(_ref_texts, max_size=3))
+            elif kind == "note" and draw(st.booleans()):
+                block["link"] = {"link_text": "kept", "url": "https://x"}
+            content.append(block)
+        value["steps"].append(dict(template, id=f"step-{k}", content=content))
+    return value
+
+
+def _parsed(value: dict) -> BmrRecord:
+    record = parse_record(value)
+    assert isinstance(record, BmrRecord), record
+    return record
+
+
+@settings(max_examples=300, deadline=None)
+@given(referring_records())
+def test_reference_rules_match_the_hand_written_loops(value):
+    got_record, got = resolve_cross_references(_parsed(value))
+    want_record, want = oracle_resolve_cross_references(_parsed(value))
+    assert got == want
+    assert [[c.link for c in s.content] for s in got_record.steps] == [
+        [c.link for c in s.content] for s in want_record.steps
+    ]
+    for step in got_record.steps:
+        for content in step.content:
+            for text in [content.text, *(content.items or [])]:
+                assert detect_reference_texts(text) == oracle_detect_reference_texts(text)

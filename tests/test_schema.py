@@ -229,6 +229,44 @@ def test_link_and_attachment_payloads():
     assert ("BAD_FIELD_TYPE", "steps[1].content[2].attachment.kind") in _codes(issues)
 
 
+@pytest.mark.parametrize(
+    "block, issue",
+    [
+        (
+            {"type": "link", "text": "policy", "link": 5},
+            ("MISSING_FIELD", "link", "expected an object, got 5"),
+        ),
+        (
+            {"type": "table", "text": "limits", "headers": "a", "rows": []},
+            ("MISSING_FIELD", "headers", "expected a list, got 'a'"),
+        ),
+        (
+            {"type": "data_form", "text": "values", "fields": 5},
+            ("MISSING_FIELD", "fields", "expected a list, got 5"),
+        ),
+        (
+            {"type": "link", "text": "policy", "link": None},
+            ("MISSING_FIELD", "link", "link content needs its link payload"),
+        ),
+        (
+            {"type": "data_form", "text": "values", "fields": []},
+            ("MISSING_FIELD", "fields", "data_form content needs its fields payload"),
+        ),
+    ],
+    ids=["link-5", "headers-a", "fields-5", "link-null", "fields-empty"],
+)
+def test_a_payload_is_reported_once(block, issue):
+    """A payload of the wrong type is reported by its reader alone; an absent
+    one, or an empty form, by the content kind's payload rule."""
+    value = clean_record_json()
+    value["steps"][1]["content"].append(block)
+    code, member, message = issue
+    path = f"steps[1].content[{len(value['steps'][1]['content']) - 1}].{member}"
+    assert [(i.code, i.path, i.message) for i in parse_record(value)] == [
+        (code, path, message)
+    ]
+
+
 def test_unknown_extra_keys_round_trip():
     value = clean_record_json()
     value["audit"] = {"who": "qa"}
@@ -405,9 +443,11 @@ def test_one_wrongly_typed_slot_never_crashes_a_consumer(golden_doc, path, new):
 
 # --------------------------------------------------------------------------
 # The member walk against the per-class parser it replaced, frozen here as
-# the reference. They differ in one place: a calculation result that is an
+# the reference. They differ in two places. A calculation result that is an
 # object without a value is read like any other object, so its MISSING_FIELD
 # is at ``result.value`` instead of ``result``, and its unit is checked too.
+# And a payload member of the wrong type that its content kind needs is
+# reported once, as mistyped, where the oracle also reports it as missing.
 
 
 def _oracle_from_json(cls: type, value: dict, **parsed: Any) -> Any:
@@ -775,7 +815,7 @@ def _mutate(value, path, new):
 
 
 def _expected_codes(value, oracle_issues):
-    """The oracle's (code, path) multiset, with the result rule above applied."""
+    """The oracle's (code, path) multiset, with the two rules above applied."""
     expected = Counter(_codes(oracle_issues))
     steps = value.get("steps") if isinstance(value, dict) else None
     for i, step in enumerate(steps if isinstance(steps, list) else ()):
@@ -789,6 +829,10 @@ def _expected_codes(value, oracle_issues):
                 expected[("MISSING_FIELD", f"{path}.value")] += 1
                 if not isinstance(result.get("unit"), (str, type(None))):
                     expected[("BAD_FIELD_TYPE", f"{path}.unit")] += 1
+            for name in ("headers", "fields", "items", "link", "attachment"):
+                key = ("MISSING_FIELD", f"steps[{i}].content[{j}].{name}")
+                if expected[key] == 2:
+                    expected[key] = 1
     return +expected
 
 

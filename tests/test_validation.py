@@ -6,8 +6,20 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bmrkit.schema import CONTENT_KINDS, FIELD_TYPES, BmrRecord, parse_record
+from bmrkit.issues import LAYER_STRUCTURAL, ValidationIssue, issue_error, issue_warning
+from bmrkit.metrics import (
+    _iter_contents,
+    _target_exists,
+    cross_reference_integrity,
+    hierarchy_preservation,
+)
+from bmrkit.schema import CONTENT_KINDS, FIELD_TYPES, BmrRecord, id_suffix, parse_record
 from bmrkit.validation import (
+    CLASS_NESTING,
+    DANGLING_REF,
+    DUP_ID,
+    GROUP_MISMATCH,
+    SEQ_ORDER,
     ValidationReport,
     validate_all,
     validate_compliance,
@@ -314,3 +326,174 @@ def test_residue_scan_matches_word_boundary_pattern(text, ascii_only):
     assert [(i.code, i.path, i.message) for i in got] == [
         ("CODE_SYNTAX_RESIDUE", "", message) for message in expected
     ]
+
+
+# --------------------------------------------------------------------------
+# Parent links against the two separate walks they replaced, frozen here as
+# the reference: the structural layer's checks and the metrics' count.
+
+
+def oracle_validate_structural(record: BmrRecord) -> list[ValidationIssue]:
+    issues: list[ValidationIssue] = []
+
+    for i, group in enumerate(record.groups):
+        for nested in ("phases", "steps"):
+            if isinstance(group.extra.get(nested), list):
+                issues.append(
+                    issue_error(
+                        LAYER_STRUCTURAL, f"groups[{i}]", CLASS_NESTING,
+                        f"group carries a nested {nested} array; arrays must stay top-level",
+                    )
+                )
+    for i, phase in enumerate(record.phases):
+        if isinstance(phase.extra.get("steps"), list):
+            issues.append(
+                issue_error(
+                    LAYER_STRUCTURAL, f"phases[{i}]", CLASS_NESTING,
+                    "phase carries a nested steps array; arrays must stay top-level",
+                )
+            )
+
+    arrays = (("groups", record.groups), ("phases", record.phases), ("steps", record.steps))
+    dup_arrays: set[str] = set()
+    seen: dict[str, str] = {}
+    for name, objs in arrays:
+        for i, obj in enumerate(objs):
+            if obj.id in seen:
+                dup_arrays.add(name)
+                issues.append(
+                    issue_error(
+                        LAYER_STRUCTURAL, f"{name}[{i}].id", DUP_ID,
+                        f"id {obj.id!r} already used at {seen[obj.id]}",
+                    )
+                )
+            else:
+                seen[obj.id] = f"{name}[{i}].id"
+
+    group_ids = {g.id for g in record.groups}
+    phase_by_id = {p.id: p for p in record.phases}
+    for i, phase in enumerate(record.phases):
+        if phase.group_id not in group_ids:
+            issues.append(
+                issue_error(
+                    LAYER_STRUCTURAL, f"phases[{i}].group_id", DANGLING_REF,
+                    f"no group with id {phase.group_id!r}",
+                )
+            )
+    for i, step in enumerate(record.steps):
+        phase = phase_by_id.get(step.phase_id)
+        if phase is None:
+            issues.append(
+                issue_error(
+                    LAYER_STRUCTURAL, f"steps[{i}].phase_id", DANGLING_REF,
+                    f"no phase with id {step.phase_id!r}",
+                )
+            )
+        if step.group_id not in group_ids:
+            issues.append(
+                issue_error(
+                    LAYER_STRUCTURAL, f"steps[{i}].group_id", DANGLING_REF,
+                    f"no group with id {step.group_id!r}",
+                )
+            )
+        elif phase is not None and step.group_id != phase.group_id:
+            issues.append(
+                issue_error(
+                    LAYER_STRUCTURAL, f"steps[{i}].group_id", GROUP_MISMATCH,
+                    f"step group {step.group_id!r} differs from its phase's "
+                    f"group {phase.group_id!r}",
+                )
+            )
+
+    for name, objs in arrays:
+        if name in dup_arrays:
+            continue
+        suffixes = [id_suffix(o.id) for o in objs]
+        for i in range(1, len(suffixes)):
+            if suffixes[i] <= suffixes[i - 1]:
+                issues.append(
+                    issue_warning(
+                        LAYER_STRUCTURAL, f"{name}[{i}].id", SEQ_ORDER,
+                        f"id suffixes not strictly increasing at {objs[i].id!r}",
+                    )
+                )
+    return issues
+
+
+def oracle_parent_links(record: BmrRecord) -> tuple[int, int]:
+    group_ids = {g.id for g in record.groups}
+    phase_by_id = {p.id: p for p in record.phases}
+    valid = sum(phase.group_id in group_ids for phase in record.phases)
+    for step in record.steps:
+        phase = phase_by_id.get(step.phase_id)
+        valid += phase is not None
+        valid += (
+            step.group_id in group_ids
+            and phase is not None
+            and step.group_id == phase.group_id
+        )
+    return valid, len(record.phases) + 2 * len(record.steps)
+
+
+def oracle_hierarchy_preservation(record: BmrRecord) -> float:
+    valid, total = oracle_parent_links(record)
+    return 100.0 if total == 0 else 100.0 * valid / total
+
+
+def oracle_cross_reference_integrity(record: BmrRecord) -> float:
+    resolved, total = oracle_parent_links(record)
+    for content in _iter_contents(record):
+        if content.link is not None:
+            url = content.link["url"]
+            if url.startswith("#"):
+                total += 1
+                resolved += _target_exists(record, url[1:])
+    return 100.0 if total == 0 else 100.0 * resolved / total
+
+
+# Suffixes 1-3 exist in most records; 4 and 5 are often missing. Repeated
+# suffixes give duplicate ids and out-of-order arrays.
+_suffixes = st.integers(1, 5)
+_links = st.sampled_from(
+    (None, "#steps[0]", "#steps[1].content[0]", "#steps[7]", "#nowhere", "https://x")
+)
+
+
+@st.composite
+def linked_records(draw) -> BmrRecord:
+    value = clean_record_json()
+    value["groups"] = [
+        {"id": f"group-{k}", "group_name": {"type": ["text"], "value": f"G{k}"}}
+        for k in draw(st.lists(_suffixes, max_size=3))
+    ]
+    value["phases"] = [
+        {
+            "id": f"phase-{k}",
+            "group_id": f"group-{draw(_suffixes)}",
+            "phase_name": {"type": ["text"], "value": f"P{k}"},
+        }
+        for k in draw(st.lists(_suffixes, max_size=4))
+    ]
+    template = value["steps"][0]
+    value["steps"] = []
+    for k in draw(st.lists(_suffixes, max_size=5)):
+        step = dict(template, id=f"step-{k}")
+        step["phase_id"] = f"phase-{draw(_suffixes)}"
+        step["group_id"] = f"group-{draw(_suffixes)}"
+        url = draw(_links)
+        content = {"type": "instruction", "text": "Blend"}
+        if url is not None:
+            content = {"type": "link", "text": "see", "link": {"link_text": "x", "url": url}}
+        step["content"] = [content]
+        value["steps"].append(step)
+    record = parse_record(value)
+    assert isinstance(record, BmrRecord), record
+    return record
+
+
+@settings(max_examples=300, deadline=None)
+@given(linked_records())
+def test_parent_links_match_the_separate_walks(record):
+    assert validate_structural(record) == oracle_validate_structural(record)
+    assert hierarchy_preservation(record) == oracle_hierarchy_preservation(record)
+    assert cross_reference_integrity(record) == oracle_cross_reference_integrity(record)
