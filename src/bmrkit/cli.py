@@ -3,9 +3,9 @@
 ``process`` runs the full pipeline (load, chunk, parallel extraction, merge,
 validation layers, metrics) and writes the record, validation report, metrics
 report, and run summary. Exit codes: 0 when validation passes, 1 when
-error-severity issues exist, 2 on pipeline failure. Configuration comes from
-an optional JSON file; any key can be overridden by the flag of the same name,
-and flags win.
+error-severity issues exist, 2 on pipeline failure or bad configuration.
+Configuration comes from an optional JSON file; any key can be overridden by
+the flag of the same name, and flags win.
 """
 
 from __future__ import annotations
@@ -15,16 +15,11 @@ import json
 import logging
 import sys
 import time
-from dataclasses import asdict, dataclass, field as dc_field, fields as dc_fields
+from dataclasses import asdict, dataclass, field as dc_field, fields as dc_fields, replace
 from pathlib import Path
 
 from .chunker import ChunkingConfig, WordTokenizer, chunk_text_by_tokens
-from .extraction import (
-    ExtractionConfig,
-    HttpChatBackend,
-    reprocess_low_coverage,
-    run_parallel,
-)
+from .extraction import ExtractionConfig, HttpChatBackend, run_parallel
 from .ingest import DecodeError, ReadError, load_markdown
 from .issues import ValidationIssue
 from .merge import EmptyMergeError, merge_chunk_results, resolve_cross_references
@@ -58,6 +53,27 @@ class PipelineConfig:
     report_out: str = "validation.json"
     metrics_out: str = "metrics.json"
     summary_out: str | None = None
+
+    def __post_init__(self) -> None:
+        # Every range is checked here, before any input is read: building the
+        # stage configs checks theirs, and the HTTP backend's two follow.
+        self.chunking()
+        self.extraction()
+        if self.timeout <= 0:
+            raise ValueError("timeout must be positive")
+        if self.transport_retries < 0:
+            raise ValueError("transport_retries must be at least 0")
+
+    def chunking(self) -> ChunkingConfig:
+        return ChunkingConfig(self.max_tokens, self.hard_split_threshold)
+
+    def extraction(self) -> ExtractionConfig:
+        return ExtractionConfig(
+            model=self.model,
+            max_attempts=self.max_attempts,
+            workers_cap=self.workers_cap,
+            reprocess_threshold=self.reprocess_threshold,
+        )
 
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
@@ -119,21 +135,11 @@ def cmd_process(input_path: str, cfg: PipelineConfig) -> int:
         return EXIT_PIPELINE_FAILURE
     load_seconds = time.perf_counter() - started
 
-    tok = WordTokenizer()
-    chunks = chunk_text_by_tokens(
-        doc.text,
-        ChunkingConfig(cfg.max_tokens, cfg.hard_split_threshold),
-        tok,
-    )
+    chunks = chunk_text_by_tokens(doc.text, cfg.chunking(), WordTokenizer())
     if not chunks:
         print("error: document produced no chunks", file=sys.stderr)
         return EXIT_PIPELINE_FAILURE
 
-    extraction_cfg = ExtractionConfig(
-        model=cfg.model,
-        max_attempts=cfg.max_attempts,
-        workers_cap=cfg.workers_cap,
-    )
     try:
         backend = _make_backend(cfg)
     except ValueError as exc:
@@ -141,11 +147,7 @@ def cmd_process(input_path: str, cfg: PipelineConfig) -> int:
         return EXIT_PIPELINE_FAILURE
 
     extract_started = time.perf_counter()
-    results = run_parallel(chunks, extraction_cfg, backend)
-    if cfg.reprocess_threshold is not None:
-        results = reprocess_low_coverage(
-            results, chunks, cfg.reprocess_threshold, extraction_cfg, backend
-        )
+    results = run_parallel(chunks, cfg.extraction(), backend)
     extract_seconds = time.perf_counter() - extract_started
 
     try:
@@ -206,11 +208,7 @@ def cmd_chunk(input_path: str, cfg: PipelineConfig, out: str | None) -> int:
     except (ReadError, DecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE_FAILURE
-    chunks = chunk_text_by_tokens(
-        doc.text,
-        ChunkingConfig(cfg.max_tokens, cfg.hard_split_threshold),
-        WordTokenizer(),
-    )
+    chunks = chunk_text_by_tokens(doc.text, cfg.chunking(), WordTokenizer())
     payload = [
         {"index": c.index, "token_count": c.token_count, "text": c.text}
         for c in chunks
@@ -322,19 +320,20 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     )
     # Each config field is overridden by the flag of the same dest; a field
     # with no flag reads as None. --weights merges into the weights below.
-    for f in dc_fields(PipelineConfig):
-        value = getattr(args, f.name, None)
-        if f.name != "weights" and value is not None:
-            setattr(cfg, f.name, value)
+    # replace() builds a new config, so the overridden values are checked too.
+    overrides = {
+        f.name: getattr(args, f.name)
+        for f in dc_fields(PipelineConfig)
+        if f.name != "weights" and getattr(args, f.name, None) is not None
+    }
     if getattr(args, "mock", False):
-        cfg.backend = "mock"
+        overrides["backend"] = "mock"
     raw_weights = getattr(args, "weights", None)
     if raw_weights:
-        overrides = json.loads(raw_weights)
         base = {name: getattr(cfg.weights, name) for name in vars(cfg.weights)}
-        base.update(overrides)
-        cfg.weights = WeightVector(**base)
-    return cfg
+        base.update(json.loads(raw_weights))
+        overrides["weights"] = WeightVector(**base)
+    return replace(cfg, **overrides)
 
 
 def main(argv: list[str] | None = None) -> int:

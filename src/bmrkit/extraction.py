@@ -1,5 +1,6 @@
 """Per-chunk extraction: prompt assembly, backend calls with repair retries,
-tagged-response parsing, and a bounded worker pool.
+tagged-response parsing, and a bounded worker pool whose tasks also re-extract
+low-coverage chunks.
 
 A completion backend is anything with a ``complete(prompt, model, params)``
 method that returns response text; it must tolerate concurrent calls up to the
@@ -24,7 +25,8 @@ from .issues import (
     issue_error,
     issue_warning,
 )
-from .schema import BmrRecord, parse_record
+from .metrics import crude_word_coverage
+from .schema import BmrRecord, parse_record, schema_prompt_text
 
 if TYPE_CHECKING:
     import requests
@@ -92,12 +94,17 @@ class ExtractionConfig:
     model: str = "bmr-extractor"
     max_attempts: int = 3
     workers_cap: int = 8
+    # A chunk whose crude word coverage (percent) falls below this is
+    # extracted once more; None never retries.
+    reprocess_threshold: float | None = None
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
         if self.workers_cap < 1:
             raise ValueError("workers_cap must be at least 1")
+        if self.reprocess_threshold is not None and not 0 <= self.reprocess_threshold <= 100:
+            raise ValueError(f"reprocess_threshold {self.reprocess_threshold} outside [0, 100]")
 
 
 @dataclass
@@ -111,14 +118,14 @@ class ChunkResult:
     failure: str | None = None
 
 
-def build_prompt(chunk: Chunk, chunk_number: int, total_chunks: int, schema_text: str) -> str:
+def build_prompt(chunk: Chunk, total_chunks: int) -> str:
     """Fill the prompt template for one chunk; substitution order keeps user
     content from being re-scanned for placeholders."""
-    if not 1 <= chunk_number <= total_chunks:
-        raise ValueError(f"chunk_number {chunk_number} outside 1..{total_chunks}")
-    prompt = PROMPT_TEMPLATE.replace("{chunk_number}", str(chunk_number))
+    if not 0 <= chunk.index < total_chunks:
+        raise ValueError(f"chunk index {chunk.index} outside 0..{total_chunks - 1}")
+    prompt = PROMPT_TEMPLATE.replace("{chunk_number}", str(chunk.index + 1))
     prompt = prompt.replace("{total_chunks}", str(total_chunks))
-    prompt = prompt.replace("{template}", schema_text)
+    prompt = prompt.replace("{template}", schema_prompt_text())
     return prompt.replace("{mbr}", chunk.text)
 
 
@@ -182,7 +189,6 @@ def _attempt(
 
 
 def process_single_chunk(
-    index: int,
     chunk: Chunk,
     total_chunks: int,
     cfg: ExtractionConfig,
@@ -194,9 +200,7 @@ def process_single_chunk(
     previous attempt's issue codes and messages. The final failure reason
     mirrors the stage the last attempt died in.
     """
-    from .schema import schema_prompt_text
-
-    base_prompt = build_prompt(chunk, index + 1, total_chunks, schema_prompt_text())
+    base_prompt = build_prompt(chunk, total_chunks)
     all_issues: list[ValidationIssue] = []
     prior_issues: list[ValidationIssue] = []
     failure = None
@@ -209,19 +213,45 @@ def process_single_chunk(
         all_issues.extend(prior_issues)
         if record is not None:
             return ChunkResult(
-                index=index, record=record, attempts_used=attempt, issues=all_issues
+                index=chunk.index, record=record, attempts_used=attempt, issues=all_issues
             )
         logger.debug(
-            "chunk %d attempt %d: %s, %d issues", index, attempt, failure, len(prior_issues)
+            "chunk %d attempt %d: %s, %d issues", chunk.index, attempt, failure, len(prior_issues)
         )
 
     return ChunkResult(
-        index=index,
+        index=chunk.index,
         record=None,
         attempts_used=cfg.max_attempts,
         issues=all_issues,
         failure=failure,
     )
+
+
+def _chunk_coverage(result: ChunkResult, chunk: Chunk) -> float:
+    if result.record is None:
+        return 0.0
+    return crude_word_coverage(SourceDocument.from_text(chunk.text), result.record)
+
+
+def _extract(
+    chunk: Chunk, total_chunks: int, cfg: ExtractionConfig, backend: ExtractionBackend
+) -> ChunkResult:
+    """One pool task: extract the chunk and, when its crude word coverage falls
+    below ``cfg.reprocess_threshold``, extract it once more and keep whichever
+    result covers more."""
+    result = process_single_chunk(chunk, total_chunks, cfg, backend)
+    if cfg.reprocess_threshold is None:
+        return result
+    coverage = _chunk_coverage(result, chunk)
+    if coverage >= cfg.reprocess_threshold:
+        return result
+    logger.info(
+        "chunk %d coverage %.1f%% below %.1f%%; reprocessing",
+        chunk.index, coverage, cfg.reprocess_threshold,
+    )
+    retry = process_single_chunk(chunk, total_chunks, cfg, backend)
+    return retry if _chunk_coverage(retry, chunk) > coverage else result
 
 
 def run_parallel(
@@ -233,47 +263,11 @@ def run_parallel(
     if not chunks:
         return []
     workers = min(cfg.workers_cap, len(chunks))
-    total = len(chunks)
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = [
-            pool.submit(process_single_chunk, chunk.index, chunk, total, cfg, backend)
-            for chunk in chunks
+            pool.submit(_extract, chunk, len(chunks), cfg, backend) for chunk in chunks
         ]
         return [f.result() for f in futures]
-
-
-def _chunk_coverage(result: ChunkResult, chunk: Chunk) -> float:
-    from .metrics import crude_word_coverage
-
-    if result.record is None:
-        return 0.0
-    return crude_word_coverage(SourceDocument.from_text(chunk.text), result.record)
-
-
-def reprocess_low_coverage(
-    results: list[ChunkResult],
-    chunks: list[Chunk],
-    threshold: float,
-    cfg: ExtractionConfig,
-    backend: ExtractionBackend,
-) -> list[ChunkResult]:
-    """Re-extract chunks whose crude word coverage fell strictly below the
-    threshold, once each, keeping whichever result covers more."""
-    if not 0 <= threshold <= 100:
-        raise ValueError(f"threshold {threshold} outside [0, 100]")
-    out = list(results)
-    for i, (result, chunk) in enumerate(zip(results, chunks)):
-        coverage = _chunk_coverage(result, chunk)
-        if coverage >= threshold:
-            continue
-        logger.info(
-            "chunk %d coverage %.1f%% below %.1f%%; reprocessing",
-            chunk.index, coverage, threshold,
-        )
-        retry = process_single_chunk(chunk.index, chunk, len(chunks), cfg, backend)
-        if _chunk_coverage(retry, chunk) > coverage:
-            out[i] = retry
-    return out
 
 
 class HttpChatBackend:

@@ -28,12 +28,10 @@ class SourceDocument:
 
     path: str
     text: str
-    byte_len: int
 
     @classmethod
     def from_text(cls, text: str, path: str = "<memory>") -> "SourceDocument":
-        normalized = _normalize_text(text)
-        return cls(path=path, text=normalized, byte_len=len(normalized.encode("utf-8")))
+        return cls(path=path, text=_normalize_text(text))
 
 
 @dataclass

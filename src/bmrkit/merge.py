@@ -33,15 +33,6 @@ class EmptyMergeError(Exception):
 
 
 @dataclass
-class MergeState:
-    """Highest id suffixes assigned so far; counters only ever grow."""
-
-    max_group_id: int = 0
-    max_phase_id: int = 0
-    max_step_id: int = 0
-
-
-@dataclass
 class CrossReference:
     """A textual reference found in content, optionally resolved to a path."""
 
@@ -52,9 +43,10 @@ class CrossReference:
 
 
 def renumber_ids(
-    record: BmrRecord, state: MergeState
+    record: BmrRecord, merged: BmrRecord
 ) -> tuple[BmrRecord, list[ValidationIssue]]:
-    """Rewrite every id onto the next free global suffix, advancing ``state``.
+    """Rewrite every id onto the global suffixes that follow the groups,
+    phases and steps of ``merged``, the record merged so far.
 
     All phase_id/group_id references inside the record are rewritten through
     the same mapping. A local reference that does not resolve is kept verbatim
@@ -63,12 +55,10 @@ def renumber_ids(
     issues: list[ValidationIssue] = []
     group_map: dict[str, str] = {}
     phase_map: dict[str, str] = {}
-    step_map: dict[str, str] = {}
 
     groups: list[Group] = []
-    for g in record.groups:
-        state.max_group_id += 1
-        new_id = f"group-{state.max_group_id}"
+    for i, g in enumerate(record.groups):
+        new_id = f"group-{len(merged.groups) + i + 1}"
         group_map[g.id] = new_id
         groups.append(replace(g, id=new_id))
 
@@ -87,8 +77,7 @@ def renumber_ids(
 
     phases: list[Phase] = []
     for i, p in enumerate(record.phases):
-        state.max_phase_id += 1
-        new_id = f"phase-{state.max_phase_id}"
+        new_id = f"phase-{len(merged.phases) + i + 1}"
         phase_map[p.id] = new_id
         phases.append(
             replace(p, id=new_id, group_id=remap(group_map, p.group_id, f"phases[{i}].group_id"))
@@ -96,9 +85,7 @@ def renumber_ids(
 
     steps: list[Step] = []
     for i, s in enumerate(record.steps):
-        state.max_step_id += 1
-        new_id = f"step-{state.max_step_id}"
-        step_map[s.id] = new_id
+        new_id = f"step-{len(merged.steps) + i + 1}"
         steps.append(
             replace(
                 s,
@@ -128,7 +115,6 @@ def merge_chunk_results(
     CHUNK_MISSING issue. Raises EmptyMergeError when nothing merged.
     """
     issues: list[ValidationIssue] = []
-    state = MergeState()
     merged = BmrRecord.empty()
     merged_any = False
 
@@ -145,7 +131,7 @@ def merge_chunk_results(
             )
             continue
         merged_any = True
-        renumbered, local_issues = renumber_ids(result.record, state)
+        renumbered, local_issues = renumber_ids(result.record, merged)
         issues.extend(local_issues)
         merged.groups.extend(renumbered.groups)
         merged.phases.extend(renumbered.phases)

@@ -82,6 +82,13 @@ def wrap_json(payload: dict) -> str:
     return "<json>\n" + json.dumps(payload) + "\n</json>"
 
 
+def prompt_chunk_text(prompt: str) -> str:
+    """The record slice that an extraction prompt carries."""
+    start = prompt.find("- Manufacturing Batch Record: ")
+    end = prompt.find("\n- Template Structure:", start)
+    return prompt[start + len("- Manufacturing Batch Record: ") : end]
+
+
 class LatencyEchoBackend:
     """Sleeps for a fixed latency plus optional jitter, tracks peak concurrent
     calls, and echoes the record slice of the prompt into the header name so
@@ -103,11 +110,8 @@ class LatencyEchoBackend:
             self.peak = max(self.peak, self._inflight)
             delay = self.latency + (self._rng.uniform(0, self.jitter) if self.jitter else 0)
         time.sleep(delay)
-        start = prompt.find("- Manufacturing Batch Record: ")
-        end = prompt.find("\n- Template Structure:", start)
-        chunk_text = prompt[start + len("- Manufacturing Batch Record: ") : end]
         payload = copy.deepcopy(EMPTY_RECORD_JSON)
-        payload["header"]["name"]["value"] = chunk_text
+        payload["header"]["name"]["value"] = prompt_chunk_text(prompt)
         with self._lock:
             self._inflight -= 1
         return wrap_json(payload)

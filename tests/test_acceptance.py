@@ -337,12 +337,12 @@ def test_criterion_7_retry_repair():
 
         for n in (1, 2, 3):
             backend = ScriptedBackend(["<json>{broken</json>"] * (n - 1) + [good])
-            result = process_single_chunk(0, chunk, 1, cfg, backend)
+            result = process_single_chunk(chunk, 1, cfg, backend)
             assert result.record is not None
             assert result.attempts_used == n
 
         backend = ScriptedBackend(["<json>{broken</json>"] * 4)
-        result = process_single_chunk(0, chunk, 1, cfg, backend)
+        result = process_single_chunk(chunk, 1, cfg, backend)
         assert result.record is None
         assert result.failure == PARSE_FAILED
         assert result.attempts_used == 3

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 import bmrkit.cli as cli
 from bmrkit.cli import main
 
@@ -307,3 +309,48 @@ def test_bad_config_file_is_pipeline_failure(tmp_path):
     config = tmp_path / "config.json"
     config.write_text('{"no_such_key": 1}')
     assert run(["process", SAMPLE_BMR, "--config", config]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, flags, config",
+    [
+        ("process", ["--workers", "0"], None),
+        ("process", ["--max-tokens", "0"], None),
+        ("process", ["--max-attempts", "0"], None),
+        ("process", ["--reprocess-threshold", "150"], None),
+        ("process", [], {"workers_cap": 0}),
+        ("process", [], {"reprocess_threshold": -1}),
+        ("process", [], {"timeout": 0}),
+        ("process", [], {"transport_retries": -1}),
+        ("chunk", ["--max-tokens", "0"], None),
+        ("chunk", [], {"hard_split_threshold": 0}),
+    ],
+    ids=[
+        "workers", "max-tokens", "max-attempts", "reprocess-threshold",
+        "config-workers", "config-reprocess-threshold", "config-timeout",
+        "config-transport-retries", "chunk-max-tokens",
+        "chunk-config-hard-split",
+    ],
+)
+def test_bad_configuration_exits_2_before_reading_input(
+    tmp_path, monkeypatch, capsys, command, flags, config
+):
+    def no_load(path):
+        raise AssertionError("input read despite bad configuration")
+
+    def no_backend(cfg):
+        raise AssertionError("backend built despite bad configuration")
+
+    monkeypatch.setattr(cli, "load_markdown", no_load)
+    monkeypatch.setattr(cli, "_make_backend", no_backend)
+    outs = [tmp_path / name for name in ("r.json", "v.json", "m.json", "s.json")]
+    argv = [command, SAMPLE_BMR, *flags, "--out", outs[0]]
+    if command == "process":
+        argv += ["--report-out", outs[1], "--metrics-out", outs[2], "--summary-out", outs[3]]
+    if config is not None:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        argv += ["--config", config_path]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: bad configuration: ")
+    assert not any(path.exists() for path in outs)

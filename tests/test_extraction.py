@@ -1,10 +1,14 @@
 from __future__ import annotations
 
 import json
+import random
 import threading
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 import requests
+from hypothesis import given, settings, strategies as st
 
 from bmrkit.chunker import Chunk
 from bmrkit.extraction import (
@@ -20,16 +24,18 @@ from bmrkit.extraction import (
     build_prompt,
     extract_json_block,
     process_single_chunk,
-    reprocess_low_coverage,
     run_parallel,
 )
-from bmrkit.schema import schema_prompt_text, serialize_record
+from bmrkit.ingest import SourceDocument
+from bmrkit.metrics import crude_word_coverage
+from bmrkit.schema import serialize_record
 
 from conftest import (
     EMPTY_RECORD_JSON,
     FailingBackend,
     ScriptedBackend,
     clean_record_json,
+    prompt_chunk_text,
     wrap_json,
 )
 
@@ -42,17 +48,17 @@ CFG = ExtractionConfig()
 
 
 def test_prompt_contains_wrap_instruction():
-    prompt = build_prompt(CHUNK, 1, 2, schema_prompt_text())
+    prompt = build_prompt(CHUNK, 2)
     assert "Wrap your response in <json></json>" in prompt
 
 
 def test_prompt_forbids_nesting():
-    prompt = build_prompt(CHUNK, 1, 2, schema_prompt_text())
+    prompt = build_prompt(CHUNK, 2)
     assert "Do NOT nest phases inside" in prompt
 
 
 def test_prompt_substitutes_counters_and_payloads():
-    prompt = build_prompt(CHUNK, 1, 2, schema_prompt_text())
+    prompt = build_prompt(CHUNK, 2)
     assert "(chunk 1 of 2)" in prompt
     assert CHUNK.text in prompt
     assert "class Header" in prompt
@@ -60,16 +66,16 @@ def test_prompt_substitutes_counters_and_payloads():
 
 
 def test_first_chunk_has_no_continuation_line():
-    prompt = build_prompt(CHUNK, 1, 2, schema_prompt_text())
+    prompt = build_prompt(CHUNK, 2)
     assert "continues the same record" not in prompt
-    later = build_prompt(CHUNK, 2, 2, schema_prompt_text())
+    later = build_prompt(Chunk(index=1, text=CHUNK.text, token_count=3), 2)
     assert "continues the same record" not in later
     assert later == prompt.replace("(chunk 1 of 2)", "(chunk 2 of 2)")
 
 
 def test_chunk_number_bounds_checked():
     with pytest.raises(ValueError):
-        build_prompt(CHUNK, 3, 2, schema_prompt_text())
+        build_prompt(Chunk(index=2, text=CHUNK.text, token_count=3), 2)
 
 
 # --------------------------------------------------------------------------
@@ -105,7 +111,7 @@ def test_no_payload_raises():
 
 def test_success_on_first_attempt():
     backend = ScriptedBackend([wrap_json(clean_record_json())])
-    result = process_single_chunk(0, CHUNK, 1, CFG, backend)
+    result = process_single_chunk(CHUNK, 1, CFG, backend)
     assert result.failure is None
     assert result.attempts_used == 1
     assert result.record is not None
@@ -114,7 +120,7 @@ def test_success_on_first_attempt():
 
 def test_retry_recovers_from_malformed_json():
     backend = ScriptedBackend(["<json>{broken</json>", wrap_json(clean_record_json())])
-    result = process_single_chunk(0, CHUNK, 1, CFG, backend)
+    result = process_single_chunk(CHUNK, 1, CFG, backend)
     assert result.attempts_used == 2
     assert result.record is not None
     assert any(i.code == PARSE_FAILED for i in result.issues)
@@ -122,14 +128,14 @@ def test_retry_recovers_from_malformed_json():
 
 def test_retry_prompt_carries_prior_issue_codes():
     backend = ScriptedBackend(["<json>{broken</json>", wrap_json(clean_record_json())])
-    process_single_chunk(0, CHUNK, 1, CFG, backend)
+    process_single_chunk(CHUNK, 1, CFG, backend)
     assert PARSE_FAILED in backend.prompts[1]
     assert backend.prompts[1].startswith(backend.prompts[0])
 
 
 def test_exhaustion_reports_parse_failed():
     backend = ScriptedBackend(["oops"])
-    result = process_single_chunk(0, CHUNK, 1, CFG, backend)
+    result = process_single_chunk(CHUNK, 1, CFG, backend)
     assert result.record is None
     assert result.failure == PARSE_FAILED
     assert result.attempts_used == 3
@@ -140,7 +146,7 @@ def test_schema_invalid_failure_reason():
     bad = clean_record_json()
     bad["steps"][0]["id"] = "not-an-id"
     backend = ScriptedBackend([wrap_json(bad)])
-    result = process_single_chunk(0, CHUNK, 1, CFG, backend)
+    result = process_single_chunk(CHUNK, 1, CFG, backend)
     assert result.failure == SCHEMA_INVALID
     assert any(i.code == "BAD_ID_FORMAT" for i in result.issues)
 
@@ -148,21 +154,21 @@ def test_schema_invalid_failure_reason():
 def test_nested_type_list_reply_is_schema_invalid():
     bad = clean_record_json()
     bad["steps"][0]["step_name"]["type"] = [["text"]]
-    result = process_single_chunk(0, CHUNK, 1, CFG, ScriptedBackend([wrap_json(bad)]))
+    result = process_single_chunk(CHUNK, 1, CFG, ScriptedBackend([wrap_json(bad)]))
     assert result.record is None
     assert result.failure == SCHEMA_INVALID
     assert any(i.code == "BAD_FIELD_TYPE" for i in result.issues)
 
 
 def test_backend_error_failure_reason():
-    result = process_single_chunk(0, CHUNK, 1, CFG, FailingBackend())
+    result = process_single_chunk(CHUNK, 1, CFG, FailingBackend())
     assert result.failure == BACKEND_ERROR
     assert [i.code for i in result.issues] == [BACKEND_ERROR] * 3
 
 
 def test_tag_fallback_warning_kept_on_success():
     backend = ScriptedBackend([json.dumps(clean_record_json())])
-    result = process_single_chunk(0, CHUNK, 1, CFG, backend)
+    result = process_single_chunk(CHUNK, 1, CFG, backend)
     assert result.record is not None
     assert [i.code for i in result.issues] == [TAG_FALLBACK]
 
@@ -235,9 +241,9 @@ def _echo_response(text):
 def test_reprocess_keeps_full_coverage_results():
     chunks = [Chunk(index=0, text="alpha beta.", token_count=2)]
     backend = ScriptedBackend([_echo_response("alpha beta.")])
-    results = run_parallel(chunks, CFG, backend)
-    after = reprocess_low_coverage(results, chunks, 60.0, CFG, backend)
-    assert after == results
+    results = run_parallel(chunks, ExtractionConfig(reprocess_threshold=60.0), backend)
+    assert backend.calls == 1
+    assert results == run_parallel(chunks, CFG, ScriptedBackend([_echo_response("alpha beta.")]))
 
 
 def test_reprocess_replaces_when_strictly_better():
@@ -246,9 +252,8 @@ def test_reprocess_replaces_when_strictly_better():
     backend = ScriptedBackend(
         [_echo_response("alpha"), _echo_response("alpha beta gamma delta.")]
     )
-    results = run_parallel(chunks, CFG, backend)
-    after = reprocess_low_coverage(results, chunks, 60.0, CFG, backend)
-    assert after[0].record.header.name.value == "alpha beta gamma delta."
+    results = run_parallel(chunks, ExtractionConfig(reprocess_threshold=60.0), backend)
+    assert results[0].record.header.name.value == "alpha beta gamma delta."
 
 
 def test_reprocess_keeps_original_when_retry_is_worse():
@@ -256,14 +261,139 @@ def test_reprocess_keeps_original_when_retry_is_worse():
     backend = ScriptedBackend(
         [_echo_response("alpha beta"), _echo_response("alpha")]
     )
-    results = run_parallel(chunks, CFG, backend)
-    after = reprocess_low_coverage(results, chunks, 90.0, CFG, backend)
-    assert after[0].record.header.name.value == "alpha beta"
+    results = run_parallel(chunks, ExtractionConfig(reprocess_threshold=90.0), backend)
+    assert backend.calls == 2
+    assert results[0].record.header.name.value == "alpha beta"
 
 
 def test_reprocess_threshold_validated():
-    with pytest.raises(ValueError):
-        reprocess_low_coverage([], [], 150.0, CFG, ScriptedBackend(["x"]))
+    for threshold in (150.0, -1.0):
+        with pytest.raises(ValueError):
+            ExtractionConfig(reprocess_threshold=threshold)
+    assert ExtractionConfig(reprocess_threshold=100.0).reprocess_threshold == 100.0
+
+
+class PerChunkBackend:
+    """Replies depend only on the chunk text and on how many times that chunk
+    has been asked, so they do not depend on the order the pool runs calls in:
+    a broken payload, a tag-less reply, or a record whose header name echoes a
+    seeded subset of the chunk's words."""
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self.asked = Counter()
+
+    def complete(self, prompt, model, params):
+        text = prompt_chunk_text(prompt)
+        with self._lock:
+            self.asked[text] += 1
+            rng = random.Random(f"{text}|{self.asked[text]}")
+        roll = rng.random()
+        if roll < 0.15:
+            return "<json>{broken</json>"
+        if roll < 0.25:
+            return "no payload"
+        kept = [word for word in text.rstrip(".").split() if rng.random() < 0.6]
+        return _echo_response(" ".join(kept) or None)
+
+
+# The parent's two extraction passes, frozen: one pool for every chunk, then
+# one sequential re-extraction of each chunk below the threshold.
+def _parent_chunk_coverage(result, chunk):
+    if result.record is None:
+        return 0.0
+    return crude_word_coverage(SourceDocument.from_text(chunk.text), result.record)
+
+
+def _parent_run_parallel(chunks, cfg, backend):
+    if not chunks:
+        return []
+    workers = min(cfg.workers_cap, len(chunks))
+    total = len(chunks)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(process_single_chunk, chunk, total, cfg, backend)
+            for chunk in chunks
+        ]
+        return [f.result() for f in futures]
+
+
+def _parent_reprocess_low_coverage(results, chunks, threshold, cfg, backend):
+    if not 0 <= threshold <= 100:
+        raise ValueError(f"threshold {threshold} outside [0, 100]")
+    out = list(results)
+    for i, (result, chunk) in enumerate(zip(results, chunks)):
+        coverage = _parent_chunk_coverage(result, chunk)
+        if coverage >= threshold:
+            continue
+        retry = process_single_chunk(chunk, len(chunks), cfg, backend)
+        if _parent_chunk_coverage(retry, chunk) > coverage:
+            out[i] = retry
+    return out
+
+
+_WORDS = ["blend", "granule", "tablet", "weigh", "sieve", "mixer", "batch", "press"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    texts=st.lists(
+        st.lists(st.sampled_from(_WORDS), min_size=1, max_size=6).map(
+            lambda words: " ".join(words) + "."
+        ),
+        min_size=1,
+        max_size=5,
+        unique=True,
+    ),
+    workers_cap=st.integers(1, 4),
+)
+def test_pooled_reprocess_matches_the_two_pass_parent(texts, workers_cap):
+    chunks = [Chunk(index=i, text=t, token_count=0) for i, t in enumerate(texts)]
+    parent_cfg = ExtractionConfig(max_attempts=2, workers_cap=workers_cap)
+    for threshold in (None, 0.0, 60.0, 100.0):
+        parent_backend = PerChunkBackend()
+        expected = _parent_run_parallel(chunks, parent_cfg, parent_backend)
+        if threshold is not None:
+            expected = _parent_reprocess_low_coverage(
+                expected, chunks, threshold, parent_cfg, parent_backend
+            )
+        backend = PerChunkBackend()
+        cfg = ExtractionConfig(
+            max_attempts=2, workers_cap=workers_cap, reprocess_threshold=threshold
+        )
+        assert run_parallel(chunks, cfg, backend) == expected
+        assert backend.asked == parent_backend.asked
+
+
+def test_reprocess_retries_overlap_in_the_pool():
+    texts = [
+        "alpha beta gamma delta.",
+        "epsilon zeta theta kappa.",
+        "lambda sigma omega upsilon.",
+        "granule tablet sieve press.",
+    ]
+    chunks = [Chunk(index=i, text=t, token_count=4) for i, t in enumerate(texts)]
+    # Each second-round call waits until all four are in flight at once.
+    barrier = threading.Barrier(4, timeout=10)
+    lock = threading.Lock()
+    asked = Counter()
+
+    class RetryBarrierBackend:
+        def complete(self, prompt, model, params):
+            text = prompt_chunk_text(prompt)
+            with lock:
+                asked[text] += 1
+                first = asked[text] == 1
+            if first:
+                return _echo_response(text.split()[0])
+            barrier.wait()
+            return _echo_response(text)
+
+    cfg = ExtractionConfig(workers_cap=4, reprocess_threshold=60.0)
+    results = run_parallel(chunks, cfg, RetryBarrierBackend())
+    assert not barrier.broken
+    assert [r.record.header.name.value for r in results] == texts
+    assert all(n == 2 for n in asked.values())
 
 
 # --------------------------------------------------------------------------
@@ -355,6 +485,6 @@ def test_mock_backend_round_trips_sample(golden_doc, golden_record):
     from bmrkit.mock_backend import MockBackend
 
     chunk = Chunk(index=0, text=golden_doc.text, token_count=0)
-    result = process_single_chunk(0, chunk, 1, CFG, MockBackend())
+    result = process_single_chunk(chunk, 1, CFG, MockBackend())
     assert result.record is not None
     assert serialize_record(result.record) == serialize_record(golden_record)

@@ -24,20 +24,12 @@ def test_load_empty_file(tmp_path):
     path.write_text("")
     doc = load_markdown(path)
     assert doc.text == ""
-    assert doc.byte_len == 0
 
 
 def test_load_strips_bom(tmp_path):
     path = tmp_path / "bom.md"
     path.write_bytes("﻿hello".encode("utf-8"))
     assert load_markdown(path).text == "hello"
-
-
-def test_byte_len_matches_encoded_text(tmp_path):
-    path = tmp_path / "u.md"
-    path.write_text("héllo\r\nwörld", encoding="utf-8")
-    doc = load_markdown(path)
-    assert doc.byte_len == len(doc.text.encode("utf-8"))
 
 
 def test_load_sample_document(golden_doc):

@@ -13,7 +13,6 @@ from bmrkit.merge import (
     CrossReference,
     EmptyMergeError,
     HEADER_CONFLICT,
-    MergeState,
     detect_reference_texts,
     merge_chunk_results,
     renumber_ids,
@@ -52,27 +51,26 @@ def _failed(index) -> ChunkResult:
 # Renumbering
 
 
-def test_renumber_advances_from_state():
-    state = MergeState(max_group_id=1, max_phase_id=0, max_step_id=0)
-    renumbered, issues = renumber_ids(_record(), state)
+def test_renumber_continues_after_merged_record():
+    merged, _ = renumber_ids(_record(), BmrRecord.empty())
+    renumbered, issues = renumber_ids(_record(), merged)
     assert issues == []
     assert renumbered.groups[0].id == "group-2"
     assert all(p.group_id == "group-2" for p in renumbered.phases)
     assert all(s.group_id == "group-2" for s in renumbered.steps)
-    assert state.max_group_id == 2
+    assert [p.id for p in renumbered.phases] == ["phase-2"]
+    assert [s.id for s in renumbered.steps] == ["step-3", "step-4"]
 
 
-def test_renumber_empty_record_leaves_state():
-    state = MergeState()
-    record = BmrRecord.empty()
-    _, issues = renumber_ids(record, state)
+def test_renumber_empty_record_adds_no_id():
+    renumbered, issues = renumber_ids(BmrRecord.empty(), _record())
     assert issues == []
-    assert (state.max_group_id, state.max_phase_id, state.max_step_id) == (0, 0, 0)
+    assert (renumbered.groups, renumbered.phases, renumbered.steps) == ([], [], [])
 
 
 def test_renumber_flags_dangling_local_ref():
     record = _record(**{"steps/1/phase_id": "phase-9"})
-    renumbered, issues = renumber_ids(record, MergeState())
+    renumbered, issues = renumber_ids(record, BmrRecord.empty())
     assert [i.code for i in issues] == [DANGLING_LOCAL_REF]
     assert renumbered.steps[1].phase_id == "phase-9"
 
