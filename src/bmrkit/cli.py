@@ -21,12 +21,12 @@ from pathlib import Path
 from .chunker import ChunkingConfig, WordTokenizer, chunk_text_by_tokens
 from .extraction import ExtractionConfig, HttpChatBackend, run_parallel
 from .ingest import DecodeError, ReadError, load_markdown
-from .issues import ValidationIssue
+from .issues import LAYER_STRUCTURAL, ValidationIssue, issue_error
 from .merge import EmptyMergeError, merge_chunk_results, resolve_cross_references
-from .metrics import WeightVector, compute_metrics, render_metrics_table
+from .metrics import WeightVector, compute_metrics, detect_step_headings, render_metrics_table
 from .mock_backend import MockBackend
 from .schema import parse_record, serialize_record
-from .validation import ValidationReport, validate_all
+from .validation import NO_STEPS_EXTRACTED, ValidationReport, validate_all
 
 logger = logging.getLogger(__name__)
 
@@ -164,8 +164,11 @@ def cmd_process(input_path: str, cfg: PipelineConfig) -> int:
     record, refs = resolve_cross_references(record)
 
     record_json = json.dumps(serialize_record(record), indent=2, ensure_ascii=False)
-    report = validate_all(record_json, refs=refs)
-    report = ValidationReport(issues=merge_issues + report.issues)
+    issues = merge_issues + validate_all(record_json, refs=refs).issues
+    if not record.steps and (headings := detect_step_headings(doc.text)):
+        message = f"the source has {len(headings)} step headings but the record has no steps"
+        issues.append(issue_error(LAYER_STRUCTURAL, "steps", NO_STEPS_EXTRACTED, message))
+    report = ValidationReport(issues=issues)
 
     total_seconds = time.perf_counter() - started
     metrics = compute_metrics(

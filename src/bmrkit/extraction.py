@@ -239,7 +239,7 @@ def _extract(
 ) -> ChunkResult:
     """One pool task: extract the chunk and, when its crude word coverage falls
     below ``cfg.reprocess_threshold``, extract it once more and keep whichever
-    result covers more."""
+    result covers more, carrying the attempts and issues of both passes."""
     result = process_single_chunk(chunk, total_chunks, cfg, backend)
     if cfg.reprocess_threshold is None:
         return result
@@ -251,7 +251,10 @@ def _extract(
         chunk.index, coverage, cfg.reprocess_threshold,
     )
     retry = process_single_chunk(chunk, total_chunks, cfg, backend)
-    return retry if _chunk_coverage(retry, chunk) > coverage else result
+    kept = retry if _chunk_coverage(retry, chunk) > coverage else result
+    kept.attempts_used = result.attempts_used + retry.attempts_used
+    kept.issues = result.issues + retry.issues
+    return kept
 
 
 def run_parallel(

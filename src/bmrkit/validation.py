@@ -47,6 +47,7 @@ DUP_ID = "DUP_ID"
 DANGLING_REF = "DANGLING_REF"
 GROUP_MISMATCH = "GROUP_MISMATCH"
 SEQ_ORDER = "SEQ_ORDER"
+NO_STEPS_EXTRACTED = "NO_STEPS_EXTRACTED"
 
 CALC_INCOMPLETE = "CALC_INCOMPLETE"
 UNITLESS_LIMIT = "UNITLESS_LIMIT"

@@ -6,6 +6,7 @@ import pytest
 
 import bmrkit.cli as cli
 from bmrkit.cli import main
+from bmrkit.mock_backend import MockBackend
 
 from conftest import SAMPLE_BMR, SAMPLE_RECORD, ScriptedBackend, clean_record_json, wrap_json
 
@@ -144,6 +145,50 @@ def test_process_exit_2_prints_each_chunk_issue_once(tmp_path, monkeypatch, caps
     assert not out.exists()
 
 
+def test_summary_counts_every_model_call(tmp_path, monkeypatch):
+    # The sample's one chunk is below 100% crude coverage, so the pool task
+    # extracts it a second time; both calls count.
+    class CountingMock(MockBackend):
+        calls = 0
+
+        def complete(self, prompt, model, params):
+            self.calls += 1
+            return super().complete(prompt, model, params)
+
+    backend = CountingMock()
+    monkeypatch.setattr(cli, "_make_backend", lambda cfg: backend)
+    summary_out = tmp_path / "summary.json"
+    code = run(
+        [
+            "process", SAMPLE_BMR, "--reprocess-threshold", "100",
+            "--out", tmp_path / "r.json", "--report-out", tmp_path / "v.json",
+            "--metrics-out", tmp_path / "m.json", "--summary-out", summary_out,
+        ]
+    )
+    assert code == 0
+    assert backend.calls == 2
+    assert json.loads(summary_out.read_text())["attempts_per_chunk"] == [backend.calls]
+
+
+def test_process_exit_1_when_no_step_is_extracted(tmp_path, monkeypatch):
+    reply = clean_record_json()
+    reply["steps"] = []
+    monkeypatch.setattr(cli, "_make_backend", lambda cfg: ScriptedBackend([wrap_json(reply)]))
+    report_out = tmp_path / "v.json"
+    code = run(
+        [
+            "process", SAMPLE_BMR, "--out", tmp_path / "r.json",
+            "--report-out", report_out, "--metrics-out", tmp_path / "m.json",
+        ]
+    )
+    assert code == 1
+    report = json.loads(report_out.read_text())
+    assert report["passed"] is False
+    assert [(i["code"], i["path"], i["severity"]) for i in report["issues"]] == [
+        ("NO_STEPS_EXTRACTED", "steps", "error")
+    ]
+
+
 def test_process_exit_2_on_missing_input(tmp_path):
     assert run(["process", tmp_path / "missing.md", "--mock"]) == 2
 
@@ -174,7 +219,7 @@ def test_chunk_greedy_packing_case(tmp_path):
     out = tmp_path / "chunks.json"
     assert run(["chunk", src, "--max-tokens", "6", "--out", out]) == 0
     chunks = json.loads(out.read_text())
-    assert [c["text"] for c in chunks] == ["a1 b1. a2 b2. a3 b3.", "a4 b4. a5 b5."]
+    assert [c["text"] for c in chunks] == ["a1 b1. a2 b2. a3 b3. ", "a4 b4. a5 b5."]
 
 
 def test_validate_sample_record():

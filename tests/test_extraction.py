@@ -5,6 +5,7 @@ import random
 import threading
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 
 import pytest
 import requests
@@ -298,7 +299,8 @@ class PerChunkBackend:
 
 
 # The parent's two extraction passes, frozen: one pool for every chunk, then
-# one sequential re-extraction of each chunk below the threshold.
+# one sequential re-extraction of each chunk below the threshold. The result
+# kept for a re-extracted chunk carries the attempts and issues of both passes.
 def _parent_chunk_coverage(result, chunk):
     if result.record is None:
         return 0.0
@@ -327,8 +329,12 @@ def _parent_reprocess_low_coverage(results, chunks, threshold, cfg, backend):
         if coverage >= threshold:
             continue
         retry = process_single_chunk(chunk, len(chunks), cfg, backend)
-        if _parent_chunk_coverage(retry, chunk) > coverage:
-            out[i] = retry
+        kept = retry if _parent_chunk_coverage(retry, chunk) > coverage else result
+        out[i] = replace(
+            kept,
+            attempts_used=result.attempts_used + retry.attempts_used,
+            issues=result.issues + retry.issues,
+        )
     return out
 
 
