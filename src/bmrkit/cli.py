@@ -26,7 +26,7 @@ from .merge import EmptyMergeError, merge_chunk_results, resolve_cross_reference
 from .metrics import WeightVector, compute_metrics, detect_step_headings, render_metrics_table
 from .mock_backend import MockBackend
 from .schema import parse_record, serialize_record
-from .validation import NO_STEPS_EXTRACTED, ValidationReport, validate_all
+from .validation import NO_STEPS_EXTRACTED, ValidationReport, validate_all, validate_record
 
 logger = logging.getLogger(__name__)
 
@@ -78,6 +78,8 @@ class PipelineConfig:
     @classmethod
     def from_file(cls, path: str) -> "PipelineConfig":
         data = json.loads(Path(path).read_text(encoding="utf-8"))
+        if not isinstance(data, dict):
+            raise ValueError(f"{path}: expected a JSON object, got {data!r:.40}")
         weights = data.pop("weights", None)
         cfg = cls(**data)
         if weights:
@@ -163,8 +165,7 @@ def cmd_process(input_path: str, cfg: PipelineConfig) -> int:
         return EXIT_PIPELINE_FAILURE
     record, refs = resolve_cross_references(record)
 
-    record_json = json.dumps(serialize_record(record), indent=2, ensure_ascii=False)
-    issues = merge_issues + validate_all(record_json, refs=refs).issues
+    issues = merge_issues + validate_record(record, refs=refs).issues
     if not record.steps and (headings := detect_step_headings(doc.text)):
         message = f"the source has {len(headings)} step headings but the record has no steps"
         issues.append(issue_error(LAYER_STRUCTURAL, "steps", NO_STEPS_EXTRACTED, message))
@@ -175,8 +176,7 @@ def cmd_process(input_path: str, cfg: PipelineConfig) -> int:
         doc, record, refs=refs, weights=cfg.weights, processing_seconds=total_seconds
     )
 
-    # record_json already has _write_json's format; write it without a re-parse.
-    Path(cfg.out).write_text(record_json + "\n", encoding="utf-8")
+    _write_json(cfg.out, serialize_record(record))
     _write_json(cfg.report_out, report.to_json())
     _write_json(cfg.metrics_out, metrics.to_json())
 

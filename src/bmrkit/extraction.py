@@ -27,6 +27,7 @@ from .issues import (
 )
 from .metrics import crude_word_coverage
 from .schema import BmrRecord, parse_record, schema_prompt_text
+from .validation import constructor_residue
 
 if TYPE_CHECKING:
     import requests
@@ -167,8 +168,13 @@ def _attempt(
     prompt: str, cfg: ExtractionConfig, backend: ExtractionBackend
 ) -> tuple[BmrRecord | None, list[ValidationIssue], str | None]:
     """One backend call and the reading of its reply: the record or None, the
-    attempt's issues, and the failure code when there is no record. Payload
-    extraction failures count as parse failures."""
+    attempt's issues, and the failure code when there is no record.
+
+    The reply is raw JSON entering the pipeline, so the syntactic layer runs
+    here: the payload is scanned for constructor residue as received, before
+    ``json.loads``, so that the repair prompt names the constructor even when
+    it broke the JSON. A missing payload, residue and invalid JSON are parse
+    failures; ``parse_record`` issues are a schema failure."""
     try:
         response = backend.complete(prompt, cfg.model, {})
     except Exception as exc:
@@ -177,6 +183,9 @@ def _attempt(
         payload, issues = extract_json_block(response)
     except NoJsonPayloadError as exc:
         return None, [issue_error(LAYER_SYNTACTIC, "", NO_JSON_PAYLOAD, str(exc))], PARSE_FAILED
+    residue = constructor_residue(payload)
+    if residue:
+        return None, issues + residue, PARSE_FAILED
     try:
         value = json.loads(payload)
     except (json.JSONDecodeError, ValueError) as exc:

@@ -1,12 +1,16 @@
 """Three validation layers: syntactic, structural, pharmaceutical compliance.
 
-Syntactic checks run on the raw JSON text, structural checks on the parsed
-record (class separation, id uniqueness, referential integrity), and the
-compliance layer applies a small documented rule set derived from GMP
-expectations: complete calculations, units on limited values, named steps, a
-populated header block, surfaced unresolved references, and well-formed
-pass/fail values. Each later layer runs only when the previous one produced
-no errors, so issues always point at the first broken precondition.
+The syntactic layer checks raw JSON text where it enters: that it parses and
+that it holds no executable-constructor residue. It runs on each model reply
+(``extraction._attempt``) and in ``validate_all``, the entry point for a record
+file. ``parse_record`` then checks the shape of the value, and the typed layers
+run on the parsed record (``validate_record``): structural checks (class
+separation, id uniqueness, referential integrity), and a compliance layer that
+applies a small documented rule set derived from GMP expectations: complete
+calculations, units on limited values, named steps, a populated header block,
+surfaced unresolved references, and well-formed pass/fail values. Each later
+layer runs only when the previous one produced no errors, so issues always
+point at the first broken precondition.
 """
 
 from __future__ import annotations
@@ -26,18 +30,7 @@ from .issues import (
     issue_warning,
 )
 from .merge import CrossReference
-from .schema import (
-    BAD_CONTENT_KIND,
-    BAD_FIELD_TYPE,
-    CONTENT_KINDS,
-    HEADER_KEYS,
-    ROW_WIDTH_MISMATCH,
-    BmrRecord,
-    id_suffix,
-    is_field_type,
-    join_path,
-    parse_record,
-)
+from .schema import HEADER_KEYS, BmrRecord, id_suffix, parse_record
 
 JSON_MALFORMED = "JSON_MALFORMED"
 CODE_SYNTAX_RESIDUE = "CODE_SYNTAX_RESIDUE"
@@ -81,8 +74,7 @@ class ValidationReport:
 
 
 def validate_syntactic(json_text: str) -> list[ValidationIssue]:
-    """Check the raw payload: parseable JSON, legal type strings, uniform
-    table rows, and no executable-constructor residue in the text."""
+    """Check raw JSON text: it parses, and it holds no constructor residue."""
     return _syntactic(json_text)[0]
 
 
@@ -92,63 +84,18 @@ def _syntactic(json_text: str) -> tuple[list[ValidationIssue], Any]:
         value = json.loads(json_text)
     except (json.JSONDecodeError, ValueError) as exc:
         return [issue_error(LAYER_SYNTACTIC, "", JSON_MALFORMED, str(exc))], None
+    return constructor_residue(json_text), value
 
-    issues: list[ValidationIssue] = []
-    for m in _CONSTRUCTOR_RESIDUE_RE.finditer(json_text):
-        issues.append(
-            issue_error(
-                LAYER_SYNTACTIC,
-                "",
-                CODE_SYNTAX_RESIDUE,
-                f"constructor call residue in output: {m.group(0)!r}",
-            )
+
+def constructor_residue(text: str) -> list[ValidationIssue]:
+    """A CODE_SYNTAX_RESIDUE error for each constructor call in ``text``."""
+    return [
+        issue_error(
+            LAYER_SYNTACTIC, "", CODE_SYNTAX_RESIDUE,
+            f"constructor call residue in output: {m.group(0)!r}",
         )
-    if isinstance(value, (dict, list)):
-        _walk_syntactic(value, None, issues)
-    return issues, value
-
-
-def _syntax_error(path: tuple | None, code: str, message: str) -> ValidationIssue:
-    """An error at ``path``: None at the root, else (parent path, key or index)."""
-    parts = []
-    while path is not None:
-        path, part = path
-        parts.append(part)
-    text = ""
-    for part in reversed(parts):
-        text = f"{text}[{part}]" if isinstance(part, int) else join_path(text, part)
-    return issue_error(LAYER_SYNTACTIC, text, code, message)
-
-
-def _walk_syntactic(value: dict | list, path: tuple | None, issues: list[ValidationIssue]) -> None:
-    """Check ``value`` and every container below it. The path is built as
-    linked pairs and formatted only for an issue."""
-    if isinstance(value, list):
-        for i, child in enumerate(value):
-            if isinstance(child, (dict, list)):
-                _walk_syntactic(child, (path, i), issues)
-        return
-    declared = value.get("type")
-    if isinstance(declared, list):
-        if not declared:
-            issues.append(_syntax_error((path, "type"), BAD_FIELD_TYPE, "empty type list"))
-        for t in declared:
-            if not is_field_type(t):
-                message = f"unknown field type {t!r}"
-                issues.append(_syntax_error((path, "type"), BAD_FIELD_TYPE, message))
-    elif isinstance(declared, str) and declared not in CONTENT_KINDS:
-        message = f"unknown content kind {declared!r}"
-        issues.append(_syntax_error((path, "type"), BAD_CONTENT_KIND, message))
-    headers = value.get("headers")
-    rows = value.get("rows")
-    if isinstance(headers, list) and isinstance(rows, list):
-        for i, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != len(headers):
-                message = f"row width differs from {len(headers)} header columns"
-                issues.append(_syntax_error(((path, "rows"), i), ROW_WIDTH_MISMATCH, message))
-    for key, child in value.items():
-        if isinstance(child, (dict, list)):
-            _walk_syntactic(child, (path, key), issues)
+        for m in _CONSTRUCTOR_RESIDUE_RE.finditer(text)
+    ]
 
 
 # --------------------------------------------------------------------------
@@ -343,22 +290,27 @@ def _looks_numeric(value: Any, limits: str) -> bool:
 # All layers
 
 
+def validate_record(
+    record: BmrRecord, refs: list[CrossReference] | None = None
+) -> ValidationReport:
+    """The typed layers: structural, then compliance when structural found
+    no errors."""
+    issues = validate_structural(record)
+    if not any(i.severity == SEVERITY_ERROR for i in issues):
+        issues += validate_compliance(record, refs=refs)
+    return ValidationReport(issues=issues)
+
+
 def validate_all(
     json_text: str, refs: list[CrossReference] | None = None
 ) -> ValidationReport:
-    """Run the layers in order, each gated on the previous having no errors."""
+    """Validate a record's raw JSON text: the syntactic layer, then
+    ``parse_record``, then the typed layers, each gated on the previous step
+    having no errors."""
     issues, value = _syntactic(json_text)
-    if any(i.severity == SEVERITY_ERROR for i in issues):
+    if issues:
         return ValidationReport(issues=issues)
-
     parsed = parse_record(value)
     if isinstance(parsed, list):
-        return ValidationReport(issues=issues + parsed)
-
-    structural = validate_structural(parsed)
-    issues += structural
-    if any(i.severity == SEVERITY_ERROR for i in structural):
-        return ValidationReport(issues=issues)
-
-    issues += validate_compliance(parsed, refs=refs)
-    return ValidationReport(issues=issues)
+        return ValidationReport(issues=parsed)
+    return validate_record(parsed, refs=refs)

@@ -302,10 +302,10 @@ def _seed_bad_id_format(r):
 # fault.
 SEEDED_FAULTS = [
     ("JSON_MALFORMED", "syntactic", "error", "", lambda: '{"header": 1,}'),
-    ("BAD_FIELD_TYPE", "syntactic", "error", "header.name.type", _mutate(_seed_bad_field_type)),
+    ("BAD_FIELD_TYPE", "structural", "error", "header.name.type", _mutate(_seed_bad_field_type)),
     ("BAD_FIELD_TYPE", "structural", "error", "steps[0].content[1].fields[0].unit", _mutate(_seed_wrong_typed_string)),
-    ("BAD_CONTENT_KIND", "syntactic", "error", "steps[0].content[0].type", _mutate(_seed_bad_content_kind)),
-    ("ROW_WIDTH_MISMATCH", "syntactic", "error", "steps[0].content[3].rows[0]", _mutate(_seed_row_width)),
+    ("BAD_CONTENT_KIND", "structural", "error", "steps[0].content[0].type", _mutate(_seed_bad_content_kind)),
+    ("ROW_WIDTH_MISMATCH", "structural", "error", "steps[0].content[3].rows[0]", _mutate(_seed_row_width)),
     ("CODE_SYNTAX_RESIDUE", "syntactic", "error", "", _mutate(_seed_residue)),
     ("CLASS_NESTING", "structural", "error", "groups[0]", _mutate(_seed_class_nesting)),
     ("DUP_ID", "structural", "error", "groups[1].id", _mutate(_seed_dup_id)),

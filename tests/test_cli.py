@@ -145,6 +145,36 @@ def test_process_exit_2_prints_each_chunk_issue_once(tmp_path, monkeypatch, caps
     assert not out.exists()
 
 
+def test_process_exit_1_when_one_chunk_replies_with_residue_every_time(tmp_path, monkeypatch):
+    """Residue fails the attempt at the reply; once the attempts run out the
+    chunk is missing from the merged record, and the run still reports."""
+    residue = clean_record_json()
+    residue["steps"][0]["content"][0]["text"] = 'output was new Field(["text"], null)'
+    residue_reply, clean_reply = wrap_json(residue), wrap_json(clean_record_json())
+
+    class ResidueOnSecondChunk(ScriptedBackend):
+        def complete(self, prompt, model, params):
+            self.prompts.append(prompt)
+            return residue_reply if "(chunk 2 of" in prompt else clean_reply
+
+    backend = ResidueOnSecondChunk([])
+    monkeypatch.setattr(cli, "_make_backend", lambda cfg: backend)
+    report_out = tmp_path / "v.json"
+    code = run(
+        [
+            "process", SAMPLE_BMR, "--max-tokens", "40", "--out", tmp_path / "r.json",
+            "--report-out", report_out, "--metrics-out", tmp_path / "m.json",
+        ]
+    )
+    assert code == 1
+    assert sum("(chunk 2 of" in p for p in backend.prompts) == 3
+    issues = json.loads(report_out.read_text())["issues"]
+    assert {
+        "layer": "structural", "severity": "error", "path": "", "code": "CHUNK_MISSING",
+        "message": "chunk 1 produced no record (PARSE_FAILED)",
+    } in issues
+
+
 def test_summary_counts_every_model_call(tmp_path, monkeypatch):
     # The sample's one chunk is below 100% crude coverage, so the pool task
     # extracts it a second time; both calls count.
@@ -231,6 +261,18 @@ def test_validate_trailing_comma(tmp_path, capsys):
     bad.write_text('{"header": 1,}')
     assert run(["validate", bad]) == 1
     assert "JSON_MALFORMED" in capsys.readouterr().out
+
+
+def test_validate_reports_residue_in_a_string(tmp_path, capsys):
+    value = clean_record_json()
+    value["steps"][0]["content"][0]["text"] = 'output was new Field(["text"], null)'
+    path = tmp_path / "residue.json"
+    path.write_text(json.dumps(value))
+    assert run(["validate", path]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert [(i["code"], i["layer"]) for i in report["issues"]] == [
+        ("CODE_SYNTAX_RESIDUE", "syntactic")
+    ]
 
 
 def test_validate_nested_phases(tmp_path, capsys):
@@ -354,6 +396,16 @@ def test_bad_config_file_is_pipeline_failure(tmp_path):
     config = tmp_path / "config.json"
     config.write_text('{"no_such_key": 1}')
     assert run(["process", SAMPLE_BMR, "--config", config]) == 2
+
+
+@pytest.mark.parametrize("top_level", ["null", '"x"', "3", "[]"])
+def test_config_file_that_is_not_an_object_is_bad_configuration(tmp_path, capsys, top_level):
+    config = tmp_path / "config.json"
+    config.write_text(top_level)
+    assert run(["process", SAMPLE_BMR, "--config", config]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad configuration: ")
+    assert "expected a JSON object" in err
 
 
 @pytest.mark.parametrize(

@@ -134,6 +134,22 @@ def test_retry_prompt_carries_prior_issue_codes():
     assert backend.prompts[1].startswith(backend.prompts[0])
 
 
+def test_residue_that_breaks_the_json_is_named_in_the_repair_prompt():
+    # The constructor sits outside a string, so the payload is not JSON; the
+    # residue scan runs before json.loads and names it.
+    payload = json.dumps(clean_record_json())
+    broken = payload.replace('"value": "Blend materials"', '"value": new Field(["text"], null)')
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(broken)
+    backend = ScriptedBackend(["<json>" + broken + "</json>", wrap_json(clean_record_json())])
+    result = process_single_chunk(CHUNK, 1, CFG, backend)
+    assert result.record is not None
+    assert result.attempts_used == 2
+    assert [i.code for i in result.issues] == ["CODE_SYNTAX_RESIDUE"]
+    repair = backend.prompts[1][len(backend.prompts[0]):]
+    assert "- CODE_SYNTAX_RESIDUE: constructor call residue in output: 'new Field('" in repair
+
+
 def test_exhaustion_reports_parse_failed():
     backend = ScriptedBackend(["oops"])
     result = process_single_chunk(CHUNK, 1, CFG, backend)

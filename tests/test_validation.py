@@ -6,14 +6,20 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bmrkit.chunker import WordTokenizer, chunk_text_by_tokens
+from bmrkit.cli import PipelineConfig
+from bmrkit.extraction import run_parallel
+from bmrkit.ingest import load_markdown
 from bmrkit.issues import LAYER_STRUCTURAL, ValidationIssue, issue_error, issue_warning
+from bmrkit.merge import merge_chunk_results, resolve_cross_references
 from bmrkit.metrics import (
     _iter_contents,
     _target_exists,
     cross_reference_integrity,
     hierarchy_preservation,
 )
-from bmrkit.schema import CONTENT_KINDS, FIELD_TYPES, BmrRecord, id_suffix, parse_record
+from bmrkit.mock_backend import MockBackend
+from bmrkit.schema import BmrRecord, id_suffix, parse_record, serialize_record
 from bmrkit.validation import (
     CLASS_NESTING,
     DANGLING_REF,
@@ -23,6 +29,7 @@ from bmrkit.validation import (
     ValidationReport,
     validate_all,
     validate_compliance,
+    validate_record,
     validate_structural,
     validate_syntactic,
 )
@@ -77,9 +84,9 @@ def test_unclosed_bracket_is_malformed():
 def test_field_type_string_rejected_anywhere():
     value = clean_record_json()
     value["steps"][0]["step_type"]["type"] = ["string"]
-    issues = validate_syntactic(json.dumps(value))
-    assert [(i.code, i.path) for i in issues] == [
-        ("BAD_FIELD_TYPE", "steps[0].step_type.type")
+    issues = validate_all(json.dumps(value)).issues
+    assert [(i.code, i.layer, i.path) for i in issues] == [
+        ("BAD_FIELD_TYPE", "structural", "steps[0].step_type.type")
     ]
 
 
@@ -200,105 +207,30 @@ def test_generated_validation_lock():
     assert got == (DATA_DIR / "generated_bmr.validation.json").read_text(encoding="utf-8")
 
 
-# --------------------------------------------------------------------------
-# Syntactic walk against the eager original, which formats a path string at
-# every node
-
-
-def _oracle_join(path: str, key: str) -> str:
-    return f"{path}.{key}" if path else key
-
-
-def oracle_walk_syntactic(value, path: str, issues: list) -> None:
-    if isinstance(value, dict):
-        declared = value.get("type")
-        if isinstance(declared, list):
-            if not declared:
-                issues.append(("BAD_FIELD_TYPE", _oracle_join(path, "type"), "empty type list"))
-            for t in declared:
-                if t not in FIELD_TYPES:
-                    issues.append(
-                        ("BAD_FIELD_TYPE", _oracle_join(path, "type"), f"unknown field type {t!r}")
-                    )
-        elif isinstance(declared, str):
-            if declared not in CONTENT_KINDS:
-                issues.append(
-                    (
-                        "BAD_CONTENT_KIND",
-                        _oracle_join(path, "type"),
-                        f"unknown content kind {declared!r}",
-                    )
-                )
-        headers = value.get("headers")
-        rows = value.get("rows")
-        if isinstance(headers, list) and isinstance(rows, list):
-            for i, row in enumerate(rows):
-                if not isinstance(row, list) or len(row) != len(headers):
-                    issues.append(
-                        (
-                            "ROW_WIDTH_MISMATCH",
-                            f"{_oracle_join(path, 'rows')}[{i}]",
-                            f"row width differs from {len(headers)} header columns",
-                        )
-                    )
-        for key, child in value.items():
-            oracle_walk_syntactic(child, _oracle_join(path, key), issues)
-    elif isinstance(value, list):
-        for i, child in enumerate(value):
-            oracle_walk_syntactic(child, f"{path}[{i}]", issues)
-
-
-# Empty and dotted keys exercise the path joining; "type", "headers" and
-# "rows" also turn up holding values of the wrong shape.
-TREE_KEYS = ("steps", "content", "", "a.b", "type", "headers", "rows")
-tree_scalars = st.one_of(
-    st.none(), st.integers(-2, 2), st.sampled_from(("text", "tabl", "paragraph", "row"))
-)
-type_values = st.one_of(
-    st.lists(st.sampled_from(("text", "numeric", "string", "", None, 1)), max_size=3),
-    st.sampled_from(("paragraph", "table", "tabl", "")),
-    tree_scalars,
-)
-table_rows = st.lists(
-    st.one_of(st.lists(st.just("cell"), max_size=3), tree_scalars), max_size=3
-)
-
-
-def tree_nodes(children):
-    plain = st.dictionaries(st.sampled_from(TREE_KEYS), children, max_size=3)
-    return st.one_of(
-        st.lists(children, max_size=3),
-        plain,
-        st.builds(lambda node, declared: {**node, "type": declared}, plain, type_values),
-        st.builds(
-            lambda node, headers, rows: {**node, "headers": headers, "rows": rows},
-            plain,
-            st.lists(st.just("h"), max_size=3),
-            table_rows,
-        ),
-    )
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.recursive(tree_scalars, tree_nodes, max_leaves=25))
-def test_syntactic_walk_matches_eager_oracle(tree):
-    expected: list = []
-    try:
-        oracle_walk_syntactic(tree, "", expected)
-    except TypeError:
-        # The original raised on a list or object inside a type list;
-        # test_unhashable_type_entries_are_reported covers that case.
-        return
-    got = validate_syntactic(json.dumps(tree))
-    assert [(i.code, i.path, i.message) for i in got] == expected
-    assert all(i.layer == "syntactic" and i.severity == "error" for i in got)
+@pytest.mark.parametrize("max_tokens", [3000, 80])
+@pytest.mark.parametrize("source", ["sample_bmr.md", "generated_bmr.md", "period_free_bmr.md"])
+def test_typed_record_validates_as_its_own_json_would(source, max_tokens):
+    """The pipeline validates its typed record without serializing and
+    re-parsing it; the re-parse would give back the same record and report."""
+    cfg = PipelineConfig(max_tokens=max_tokens)
+    doc = load_markdown(DATA_DIR / source)
+    chunks = chunk_text_by_tokens(doc.text, cfg.chunking(), WordTokenizer())
+    record, _ = merge_chunk_results(run_parallel(chunks, cfg.extraction(), MockBackend()))
+    record, refs = resolve_cross_references(record)
+    value = serialize_record(record)
+    assert parse_record(value) == record
+    report = validate_record(record, refs)
+    assert report.to_json() == validate_all(json.dumps(value), refs).to_json()
+    assert report.passed
 
 
 def test_unhashable_type_entries_are_reported():
-    issues = validate_syntactic('{"a": [{"type": ["text", ["date"], {}]}]}')
-    assert [(i.code, i.path, i.message) for i in issues] == [
-        ("BAD_FIELD_TYPE", "a[0].type", "unknown field type ['date']"),
-        ("BAD_FIELD_TYPE", "a[0].type", "unknown field type {}"),
+    value = clean_record_json()
+    value["header"]["name"]["type"] = ["text", ["date"], {}]
+    assert parse_record(value) == validate_all(json.dumps(value)).issues
+    assert [(i.code, i.path, i.message) for i in parse_record(value)] == [
+        ("BAD_FIELD_TYPE", "header.name.type", "unknown field type ['date']"),
+        ("BAD_FIELD_TYPE", "header.name.type", "unknown field type {}"),
     ]
 
 
