@@ -26,7 +26,7 @@ from .merge import EmptyMergeError, merge_chunk_results, resolve_cross_reference
 from .metrics import WeightVector, compute_metrics, detect_step_headings, render_metrics_table
 from .mock_backend import MockBackend
 from .schema import parse_record, serialize_record
-from .validation import NO_STEPS_EXTRACTED, ValidationReport, validate_all, validate_record
+from .validation import NO_STEPS_EXTRACTED, ValidationReport, read_record_text, validate_record
 
 logger = logging.getLogger(__name__)
 
@@ -229,14 +229,11 @@ def cmd_validate(record_path: str) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE_FAILURE
-    refs = None
-    try:
-        parsed = parse_record(json.loads(text))
-        if not isinstance(parsed, list):
-            _, refs = resolve_cross_references(parsed)
-    except (json.JSONDecodeError, ValueError):
-        pass
-    report = validate_all(text, refs=refs)
+    parsed = read_record_text(text)
+    if isinstance(parsed, list):
+        report = ValidationReport(issues=parsed)
+    else:
+        report = validate_record(*resolve_cross_references(parsed))
     print(json.dumps(report.to_json(), indent=2, ensure_ascii=False))
     return EXIT_OK if report.passed else EXIT_ISSUES
 

@@ -159,7 +159,7 @@ class _RecordBuilder:
     def finish(self) -> BmrRecord:
         self.flush_runs()
         if self.header.name.value is None and self.fallback_name:
-            self.header.name = Field(["text"], self.fallback_name)
+            self.header.name.value = self.fallback_name
         return BmrRecord(
             header=self.header,
             groups=self.groups,
@@ -210,9 +210,7 @@ def extract_markdown_record(text: str) -> BmrRecord:
         if meta:
             key = meta.group(1).strip().lower()
             if key in _HEADER_META_KEYS:
-                attr = _HEADER_META_KEYS[key]
-                types = ["date"] if attr.endswith("date") else ["text"]
-                setattr(builder.header, attr, Field(types, meta.group(2).strip()))
+                getattr(builder.header, _HEADER_META_KEYS[key]).value = meta.group(2).strip()
                 i += 1
                 continue
         h3 = _H3_RE.match(line)

@@ -11,33 +11,22 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field, fields as dc_fields
+from functools import cache
 from types import UnionType
 from typing import Any, Callable, Union, get_args, get_origin, get_type_hints
 
 from .issues import LAYER_STRUCTURAL, ValidationIssue, issue_error
 
-FIELD_TYPES = frozenset(
-    {"text", "numeric", "date", "choice", "pass_fail", "timestamp", "boolean"}
+# Each tuple is in the order the schema prompt lists it; the sets are for lookup.
+_FIELD_TYPE_ORDER = ("text", "numeric", "date", "choice", "pass_fail", "timestamp", "boolean")
+_CONTENT_KIND_ORDER = (
+    "paragraph", "bullet_list", "numbered_list", "note", "warning", "instruction",
+    "data_form", "calculation", "table", "image", "link", "attachments",
 )
-
-CONTENT_KINDS = frozenset(
-    {
-        "paragraph",
-        "bullet_list",
-        "numbered_list",
-        "note",
-        "warning",
-        "instruction",
-        "data_form",
-        "calculation",
-        "table",
-        "image",
-        "link",
-        "attachments",
-    }
-)
-
-ATTACHMENT_KINDS = frozenset({"BOM", "BOE", "other"})
+_ATTACHMENT_KIND_ORDER = ("BOM", "BOE", "other")
+FIELD_TYPES = frozenset(_FIELD_TYPE_ORDER)
+CONTENT_KINDS = frozenset(_CONTENT_KIND_ORDER)
+ATTACHMENT_KINDS = frozenset(_ATTACHMENT_KIND_ORDER)
 
 GROUP_ID_RE = re.compile(r"^group-[1-9]\d*$")
 PHASE_ID_RE = re.compile(r"^phase-[1-9]\d*$")
@@ -147,8 +136,10 @@ def _content_kind(issues: list, value: Any, path: str) -> Any:
     return None
 
 
-def _string_object(required: tuple, optional: tuple = ()) -> _Reader:
-    """An object payload kept as a dict, whose listed members are strings."""
+def _string_object(required: tuple, optional: tuple = (), kinds: tuple = ()) -> _Reader:
+    """An object payload kept as a dict, whose listed members are strings.
+    ``kinds`` are the values its ``kind`` member may hold, which the schema
+    prompt lists and _check_content checks."""
     rules = tuple((k, k, k in optional, _string) for k in required + optional)
 
     def read(issues: list, value: Any, path: str) -> Any:
@@ -158,6 +149,7 @@ def _string_object(required: tuple, optional: tuple = ()) -> _Reader:
         _members(issues, value, path, rules)
         return value
 
+    read.rules, read.kinds = rules, kinds
     return read
 
 
@@ -190,26 +182,26 @@ class Field:
     extra: dict = dc_field(default_factory=dict)
 
 
+def _header_field(types: tuple, description: str) -> Any:
+    """A header member: a Field whose type list and value the prompt describes."""
+    return dc_field(metadata={"types": types, "description": description})
+
+
 @dataclass
 class Header:
-    completion_date: Field
-    expiry_date: Field
-    name: Field
-    quantity: Field
-    sku: Field
-    start_date: Field
+    completion_date: Field = _header_field(("date",), "The date the batch process was completed")
+    expiry_date: Field = _header_field(("date",), "Expiration date of the final product batch")
+    name: Field = _header_field(("text",), "Name of the batch record template")
+    quantity: Field = _header_field(("numeric",), "The quantity or yield of the final product")
+    sku: Field = _header_field(("text",), "Stock Keeping Unit identifier")
+    start_date: Field = _header_field(("date",), "Date when the batch process started")
     extra: dict = dc_field(default_factory=dict)
 
     @classmethod
     def empty(cls) -> "Header":
-        return cls(
-            completion_date=Field(["date"]),
-            expiry_date=Field(["date"]),
-            name=Field(["text"]),
-            quantity=Field(["numeric"]),
-            sku=Field(["text"]),
-            start_date=Field(["date"]),
-        )
+        """Each member a Field of its declared types and no value."""
+        members = [f for f in dc_fields(cls) if f.name != "extra"]
+        return cls(**{f.name: Field(list(f.metadata["types"])) for f in members})
 
 
 @dataclass
@@ -261,7 +253,9 @@ class Content:
     headers: list[str] | None = _optional()
     rows: list[list] | None = _optional()
     link: dict | None = _optional(_string_object(("link_text", "url")))
-    attachment: dict | None = _optional(_string_object(("name",), ("reference",)))
+    attachment: dict | None = _optional(
+        _string_object(("name",), ("reference",), _ATTACHMENT_KIND_ORDER)
+    )
     extra: dict = dc_field(default_factory=dict)
 
 
@@ -419,12 +413,18 @@ def _list_of(entry: _Reader) -> _Reader:
     return read
 
 
+def _without_none(hint: Any) -> Any:
+    """``hint`` with its ``| None`` stripped."""
+    if get_origin(hint) in (Union, UnionType):
+        (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+    return hint
+
+
 def _reader(hint: Any) -> _Reader:
     """The reader a member's annotation gives, ``| None`` stripped: a ``str``
     must hold a JSON string, ``Any`` any value, a model class an object read
     member by member, and ``list[X]`` a list whose entries ``X``'s rule reads."""
-    if get_origin(hint) in (Union, UnionType):
-        (hint,) = [arg for arg in get_args(hint) if arg is not type(None)]
+    hint = _without_none(hint)
     if hint is Any:
         return lambda issues, value, path: value
     if hint is str:
@@ -440,15 +440,15 @@ def _reader(hint: Any) -> _Reader:
 
 def _rules(cls: type) -> tuple:
     """(attribute, JSON member, optional, reader) of each member of ``cls``."""
-    hints = get_type_hints(cls)
     declared = {f.name: f.metadata.get("read") for f in dc_fields(cls)}
     return tuple(
-        (attr, name, optional, declared[attr] or _reader(hints[attr]))
+        (attr, name, optional, declared[attr] or _reader(_HINTS[cls][attr]))
         for attr, name, optional in JSON_MEMBERS[cls]
     )
 
 
 # Resolved once: get_type_hints evaluates every annotation string.
+_HINTS = {cls: get_type_hints(cls) for cls in JSON_MEMBERS}
 _RULES = {cls: _rules(cls) for cls in JSON_MEMBERS}
 _read_record = _model(BmrRecord)
 
@@ -469,118 +469,53 @@ def parse_record(value: Any) -> BmrRecord | list[ValidationIssue]:
 
 
 # --------------------------------------------------------------------------
-# Schema prompt asset
-
-SCHEMA_TEMPLATE = '''type FieldType = "text" | "numeric" | "date" | "choice" |
-                 "pass_fail" | "timestamp" | "boolean";
-
-class Field {
-    type: FieldType[];
-    value: any;
-    constructor(type: FieldType[], value: any) {
-        this.type = type;
-        this.value = value;
-    }
-}
-
-class Header {
-    completion_date: Field;
-    expiry_date: Field;
-    name: Field;
-    quantity: Field;
-    sku: Field;
-    start_date: Field;
-
-    constructor() {
-        this.completion_date = new Field(
-            ["date"],
-            "The date the batch process was completed"
-        );
-        this.expiry_date = new Field(
-            ["date"],
-            "Expiration date of the final product batch"
-        );
-        this.name = new Field(
-            ["text"],
-            "Name of the batch record template"
-        );
-        this.quantity = new Field(
-            ["numeric"],
-            "The quantity or yield of the final product"
-        );
-        this.sku = new Field(
-            ["text"],
-            "Stock Keeping Unit identifier"
-        );
-        this.start_date = new Field(
-            ["date"],
-            "Date when the batch process started"
-        );
-    }
-}
-
-// A string slot or string[] entry holds a JSON string; an optional (?) slot may be null or absent.
-class Content {
-    type: "paragraph" | "bullet_list" | "numbered_list" |
-          "note" | "warning" | "instruction" | "data_form" |
-          "calculation" | "table" | "image" | "link" | "attachments";
-    text: string;
-    items?: string[];
-    fields?: {
-        label: string;
-        value: string | null;
-        unit?: string;
-        limits?: string;
-        notes?: string;
-    }[];
-    calculation?: {
-        formula: string;
-        variables: {
-            name: string;
-            description: string;
-            value?: any;
-            unit?: string;
-        }[];
-        result?: {
-            value: any;
-            unit?: string;
-        };
-        notes?: string;
-    };
-    headers?: string[];
-    rows?: any[][];
-    link?: {
-        link_text: string;
-        url: string;
-    };
-    attachment?: {
-        kind: "BOM" | "BOE" | "other";
-        name: string;
-        reference?: string;
-    };
-}
-
-class Step {
-    id: string;
-    phase_id: string;
-    group_id: string;
-    step_name: Field;
-    step_type: Field;
-    content: Content[];
-}
-
-class Phase {
-    id: string;
-    group_id: string;
-    phase_name: Field;
-}
-
-class Group {
-    id: string;
-    group_name: Field;
-}'''
+# Schema prompt
 
 
+def _union(values: tuple) -> str:
+    return " | ".join(f'"{v}"' for v in values)
+
+
+def _prompt_type(hint: Any, read: _Reader | None) -> str:
+    """The TypeScript-like type of a member annotated ``hint`` and read by
+    ``read``, following the rules ``_reader`` gives each annotation."""
+    if read is _field_types:
+        return "FieldType[]"
+    if read is _content_kind:
+        return _union(_CONTENT_KIND_ORDER)
+    if hasattr(read, "kinds"):  # a _string_object payload, written inline
+        kind = [f"kind: {_union(read.kinds)};"] if read.kinds else []
+        strings = [f"{name}{'?' * optional}: string;" for _, name, optional, _ in read.rules]
+        return "{ " + " ".join(kind + strings) + " }"
+    hint = _without_none(hint)
+    if hint is Any:
+        return "any"
+    if hint is str:
+        return "string"
+    if hint is list:  # a table row
+        return "any[]"
+    if get_origin(hint) is list:
+        return _prompt_type(get_args(hint)[0], None) + "[]"
+    return hint.__name__
+
+
+@cache
 def schema_prompt_text() -> str:
-    """The fixed typed-interface schema text embedded in extraction prompts."""
-    return SCHEMA_TEMPLATE
+    """The typed-interface schema embedded in extraction prompts: one class
+    block per model class, built from the declarations parse_record reads."""
+    blocks = [
+        f"type FieldType = {_union(_FIELD_TYPE_ORDER)};",
+        "// A string slot or string[] entry holds a JSON string; "
+        "an optional (?) slot may be null or absent.",
+    ]
+    for cls, rules in _RULES.items():
+        metadata = {f.name: f.metadata for f in dc_fields(cls)}
+        lines = [f"class {cls.__name__} {{"]
+        for attr, name, optional, read in rules:
+            line = f"    {name}{'?' * optional}: {_prompt_type(_HINTS[cls][attr], read)};"
+            if "types" in metadata[attr]:
+                types = ", ".join(f'"{t}"' for t in metadata[attr]["types"])
+                line += f" // type [{types}]; value: {metadata[attr]['description']}"
+            lines.append(line)
+        blocks.append("\n".join(lines + ["}"]))
+    return "\n\n".join(blocks)

@@ -2,15 +2,16 @@
 
 The syntactic layer checks raw JSON text where it enters: that it parses and
 that it holds no executable-constructor residue. It runs on each model reply
-(``extraction._attempt``) and in ``validate_all``, the entry point for a record
-file. ``parse_record`` then checks the shape of the value, and the typed layers
-run on the parsed record (``validate_record``): structural checks (class
-separation, id uniqueness, referential integrity), and a compliance layer that
-applies a small documented rule set derived from GMP expectations: complete
-calculations, units on limited values, named steps, a populated header block,
-surfaced unresolved references, and well-formed pass/fail values. Each later
-layer runs only when the previous one produced no errors, so issues always
-point at the first broken precondition.
+(``extraction._attempt``) and in ``read_record_text``, which reads a record
+file for ``validate_all`` and ``bmrkit validate``. ``parse_record`` then checks
+the shape of the value, and the typed layers run on the parsed record
+(``validate_record``): structural checks (class separation, id uniqueness,
+referential integrity), and a compliance layer that applies a small
+documented rule set derived from GMP expectations: complete calculations, units
+on limited values, named steps, a populated header block, surfaced unresolved
+references, and well-formed pass/fail values. Each later layer runs only when
+the previous one produced no errors, so issues always point at the first
+broken precondition.
 """
 
 from __future__ import annotations
@@ -301,16 +302,20 @@ def validate_record(
     return ValidationReport(issues=issues)
 
 
+def read_record_text(json_text: str) -> BmrRecord | list[ValidationIssue]:
+    """A record's raw JSON text as a typed record: the syntactic layer, then
+    ``parse_record``; or the issues of the first of the two that found any."""
+    issues, value = _syntactic(json_text)
+    return issues or parse_record(value)
+
+
 def validate_all(
     json_text: str, refs: list[CrossReference] | None = None
 ) -> ValidationReport:
     """Validate a record's raw JSON text: the syntactic layer, then
     ``parse_record``, then the typed layers, each gated on the previous step
     having no errors."""
-    issues, value = _syntactic(json_text)
-    if issues:
-        return ValidationReport(issues=issues)
-    parsed = parse_record(value)
+    parsed = read_record_text(json_text)
     if isinstance(parsed, list):
         return ValidationReport(issues=parsed)
     return validate_record(parsed, refs=refs)

@@ -5,10 +5,16 @@ import json
 import pytest
 
 import bmrkit.cli as cli
+import bmrkit.validation as validation
 from bmrkit.cli import main
 from bmrkit.mock_backend import MockBackend
+from bmrkit.schema import parse_record
+from bmrkit.validation import validate_all
 
-from conftest import SAMPLE_BMR, SAMPLE_RECORD, ScriptedBackend, clean_record_json, wrap_json
+from conftest import (
+    DATA_DIR, SAMPLE_BMR, SAMPLE_RECORD, ScriptedBackend, clean_record_json, refs_for_json,
+    wrap_json,
+)
 
 
 def run(argv):
@@ -305,6 +311,43 @@ def test_validate_numeric_limits_without_unit(tmp_path, capsys):
     assert [(i["code"], i["path"]) for i in report["issues"]] == [
         ("BAD_FIELD_TYPE", "steps[0].content[1].fields[0].limits")
     ]
+
+
+def _ci_records(tmp_path):
+    """The records the console-script check validates: the generated record,
+    then one with a trailing comma and one with constructor residue in a string."""
+    residue = json.loads(SAMPLE_RECORD.read_text(encoding="utf-8"))
+    residue["steps"][0]["step_name"]["value"] = "new Field(null)"
+    paths = [tmp_path / "JSON_MALFORMED.json", tmp_path / "CODE_SYNTAX_RESIDUE.json"]
+    paths[0].write_text('{"header": 1,}')
+    paths[1].write_text(json.dumps(residue))
+    return [DATA_DIR / "generated_bmr.record.json", *paths]
+
+
+def test_validate_prints_the_report_of_a_separate_reference_pass(tmp_path, capsys):
+    """Parsing once prints what resolving references on one parse and
+    validating the raw text with them printed."""
+    for path, code in zip(_ci_records(tmp_path), (0, 1, 1)):
+        text = path.read_text(encoding="utf-8")
+        expected = validate_all(text, refs=refs_for_json(text)).to_json()
+        assert run(["validate", path]) == code
+        assert capsys.readouterr().out == json.dumps(expected, indent=2, ensure_ascii=False) + "\n"
+    committed = (DATA_DIR / "generated_bmr.validation.json").read_text(encoding="utf-8")
+    assert run(["validate", DATA_DIR / "generated_bmr.record.json"]) == 0
+    assert capsys.readouterr().out == committed
+
+
+def test_validate_parses_the_record_once(monkeypatch):
+    calls = []
+
+    def counting_parse(value):
+        calls.append(value)
+        return parse_record(value)
+
+    monkeypatch.setattr(cli, "parse_record", counting_parse)
+    monkeypatch.setattr(validation, "parse_record", counting_parse)
+    assert run(["validate", DATA_DIR / "generated_bmr.record.json"]) == 0
+    assert len(calls) == 1
 
 
 def test_score_identity_fixture(tmp_path, capsys):

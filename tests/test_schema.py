@@ -2,16 +2,21 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import typing
 from collections import Counter
+from pathlib import Path
 from typing import Any
 from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import bmrkit
 import bmrkit.cli as cli
 from bmrkit.extraction import PROMPT_TEMPLATE
 from bmrkit.merge import resolve_cross_references
@@ -31,7 +36,6 @@ from bmrkit.schema import (
     ROW_WIDTH_MISMATCH,
     STEP_ID_RE,
     JSON_MEMBERS,
-    SCHEMA_TEMPLATE,
     BmrRecord,
     CalcResult,
     Calculation,
@@ -50,7 +54,7 @@ from bmrkit.schema import (
     schema_prompt_text,
     serialize_record,
 )
-from bmrkit.validation import validate_all
+from bmrkit.validation import constructor_residue, validate_all
 
 from conftest import SAMPLE_BMR, SAMPLE_RECORD, ScriptedBackend, clean_record_json, wrap_json
 
@@ -63,8 +67,25 @@ def test_schema_text_lists_pass_fail_type():
     assert '"pass_fail" | "timestamp"' in schema_prompt_text()
 
 
-def test_schema_text_is_constant():
-    assert schema_prompt_text() == schema_prompt_text()
+def test_schema_text_holds_no_constructor_residue():
+    """The prompt must not show the model the constructor syntax each reply
+    is rejected for."""
+    assert constructor_residue(schema_prompt_text()) == []
+
+
+def test_schema_text_does_not_depend_on_the_hash_seed():
+    """The kinds and field types are looked up in frozensets; the prompt
+    lists them in declaration order, so two hash seeds give the same bytes."""
+    script = "import sys; from bmrkit.schema import schema_prompt_text as s; sys.stdout.write(s())"
+    src = str(Path(bmrkit.__file__).parents[1])
+    texts = [
+        subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, check=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src},
+        ).stdout
+        for seed in ("0", "1")
+    ]
+    assert texts[0] == texts[1] == schema_prompt_text().encode("utf-8")
 
 
 def test_schema_text_lists_every_content_and_attachment_kind():
@@ -74,16 +95,38 @@ def test_schema_text_lists_every_content_and_attachment_kind():
     assert "link_text: string;" in text and "reference?: string;" in text
 
 
+def _prompt_blocks() -> dict[str, list[str]]:
+    """The member lines of each ``class X { ... }`` block of the prompt, by class."""
+    blocks = re.findall(r"^class (\w+) \{\n(.*?)\n\}$", schema_prompt_text(), re.M | re.S)
+    return {name: body.splitlines() for name, body in blocks}
+
+
 def test_every_declared_member_is_in_the_prompt():
-    """The model classes and the schema prompt name the same members, and a
-    member left out while None is the one the prompt marks optional (``?``)."""
+    """The model classes and the schema prompt name the same members in the
+    same order, and a member carries ``?`` exactly when it is declared
+    ``_optional()``, so it is left out while None."""
+    blocks = _prompt_blocks()
+    assert list(blocks) == [cls.__name__ for cls in JSON_MEMBERS]
     for cls, members in JSON_MEMBERS.items():
-        for _, name, omit_none in members:
-            if cls is BmrRecord:
-                # The record's own layout is spelled out in the prompt text.
-                assert f'"{name}":' in PROMPT_TEMPLATE
-            else:
-                assert f"{name}{'?' if omit_none else ''}:" in SCHEMA_TEMPLATE, (cls, name)
+        optional = {f.name for f in dataclasses.fields(cls) if f.metadata.get("optional")}
+        declared = [(name, attr in optional) for attr, name, _ in members]
+        shown = [re.match(r"    (\w+)(\??):", line).groups() for line in blocks[cls.__name__]]
+        assert [(name, mark == "?") for name, mark in shown] == declared, cls
+    for _, name, _ in JSON_MEMBERS[BmrRecord]:
+        # The record's own layout is spelled out in the prompt text as well.
+        assert f'"{name}":' in PROMPT_TEMPLATE
+
+
+def test_prompt_gives_each_header_member_its_types_and_description():
+    lines = dict(zip(HEADER_KEYS, _prompt_blocks()["Header"]))
+    empty = Header.empty()
+    for f in dataclasses.fields(Header):
+        if f.name == "extra":
+            continue
+        types, description = f.metadata["types"], f.metadata["description"]
+        assert json.dumps(list(types)) in lines[f.name], f.name
+        assert description in lines[f.name], f.name
+        assert getattr(empty, f.name) == Field(list(types)), f.name
 
 
 @pytest.mark.parametrize(
