@@ -25,7 +25,7 @@ from .issues import LAYER_STRUCTURAL, ValidationIssue, issue_error
 from .merge import EmptyMergeError, merge_chunk_results, resolve_cross_references
 from .metrics import WeightVector, compute_metrics, detect_step_headings, render_metrics_table
 from .mock_backend import MockBackend
-from .schema import parse_record, serialize_record
+from .schema import serialize_record
 from .validation import NO_STEPS_EXTRACTED, ValidationReport, read_record_text, validate_record
 
 logger = logging.getLogger(__name__)
@@ -245,13 +245,9 @@ def cmd_score(source_path: str, record_path: str, cfg: PipelineConfig) -> int:
     except (ReadError, DecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PIPELINE_FAILURE
-    try:
-        parsed = parse_record(json.loads(text))
-    except (json.JSONDecodeError, ValueError) as exc:
-        print(f"error: record is not valid JSON: {exc}", file=sys.stderr)
-        return EXIT_PIPELINE_FAILURE
+    parsed = read_record_text(text)
     if isinstance(parsed, list):
-        print("error: record does not parse against the schema", file=sys.stderr)
+        print("error: record rejected by the syntactic layer or the schema", file=sys.stderr)
         _print_issues(parsed, "  ")
         return EXIT_PIPELINE_FAILURE
     record, refs = resolve_cross_references(parsed)

@@ -10,7 +10,6 @@ stage renumbers globally.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -26,8 +25,8 @@ from .issues import (
     issue_warning,
 )
 from .metrics import crude_word_coverage
-from .schema import BmrRecord, parse_record, schema_prompt_text
-from .validation import constructor_residue
+from .schema import BmrRecord, schema_prompt_text
+from .validation import read_record_text
 
 if TYPE_CHECKING:
     import requests
@@ -61,9 +60,8 @@ Requirements:
    b) Do NOT use TypeScript class initialization syntax
    c) For empty arrays, use [] not Array()
    d) Ensure all table rows have the same number of columns
-5. Each object must include ALL fields defined in its class
-6. Include ALL relevant information from the batch record
-7. IMPORTANT: When encountering text from images (indicated by "[Image Text: ...]"), create content objects with type "image" and place the extracted text in "text" field
+5. Include ALL relevant information from the batch record
+6. IMPORTANT: When encountering text from images (indicated by "[Image Text: ...]"), create content objects with type "image" and place the extracted text in "text" field
 
 Wrap your response in <json></json> tags as follows:
 <json>
@@ -170,11 +168,9 @@ def _attempt(
     """One backend call and the reading of its reply: the record or None, the
     attempt's issues, and the failure code when there is no record.
 
-    The reply is raw JSON entering the pipeline, so the syntactic layer runs
-    here: the payload is scanned for constructor residue as received, before
-    ``json.loads``, so that the repair prompt names the constructor even when
-    it broke the JSON. A missing payload, residue and invalid JSON are parse
-    failures; ``parse_record`` issues are a schema failure."""
+    The reply is raw JSON entering the pipeline, so its payload is read by
+    ``read_record_text``. A missing payload and the syntactic layer's issues
+    are parse failures; ``parse_record`` issues are a schema failure."""
     try:
         response = backend.complete(prompt, cfg.model, {})
     except Exception as exc:
@@ -183,17 +179,10 @@ def _attempt(
         payload, issues = extract_json_block(response)
     except NoJsonPayloadError as exc:
         return None, [issue_error(LAYER_SYNTACTIC, "", NO_JSON_PAYLOAD, str(exc))], PARSE_FAILED
-    residue = constructor_residue(payload)
-    if residue:
-        return None, issues + residue, PARSE_FAILED
-    try:
-        value = json.loads(payload)
-    except (json.JSONDecodeError, ValueError) as exc:
-        issues.append(issue_error(LAYER_SYNTACTIC, "", PARSE_FAILED, f"invalid JSON: {exc}"))
-        return None, issues, PARSE_FAILED
-    parsed = parse_record(value)
+    parsed = read_record_text(payload)
     if isinstance(parsed, list):
-        return None, issues + parsed, SCHEMA_INVALID
+        failure = PARSE_FAILED if parsed[0].layer == LAYER_SYNTACTIC else SCHEMA_INVALID
+        return None, issues + parsed, failure
     return parsed, issues, None
 
 

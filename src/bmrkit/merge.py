@@ -9,7 +9,7 @@ against the assembled record.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .issues import (
@@ -18,7 +18,7 @@ from .issues import (
     issue_error,
     issue_warning,
 )
-from .schema import HEADER_KEYS, BmrRecord, Content, Group, Phase, Step, id_suffix
+from .schema import HEADER_KEYS, BmrRecord, Content, id_suffix
 
 if TYPE_CHECKING:
     from .extraction import ChunkResult
@@ -42,25 +42,17 @@ class CrossReference:
     resolved: bool = False
 
 
-def renumber_ids(
-    record: BmrRecord, merged: BmrRecord
-) -> tuple[BmrRecord, list[ValidationIssue]]:
-    """Rewrite every id onto the global suffixes that follow the groups,
-    phases and steps of ``merged``, the record merged so far.
+def renumber_ids(record: BmrRecord, merged: BmrRecord) -> list[ValidationIssue]:
+    """Rewrite in place every id of ``record`` onto the global suffixes that
+    follow the groups, phases and steps of ``merged``, the record merged so far.
 
     All phase_id/group_id references inside the record are rewritten through
     the same mapping. A local reference that does not resolve is kept verbatim
-    and flagged with DANGLING_LOCAL_REF.
+    and flagged with DANGLING_LOCAL_REF at its path in the merged record.
     """
     issues: list[ValidationIssue] = []
     group_map: dict[str, str] = {}
     phase_map: dict[str, str] = {}
-
-    groups: list[Group] = []
-    for i, g in enumerate(record.groups):
-        new_id = f"group-{len(merged.groups) + i + 1}"
-        group_map[g.id] = new_id
-        groups.append(replace(g, id=new_id))
 
     def remap(mapping: dict[str, str], old: str, path: str) -> str:
         if old in mapping:
@@ -75,34 +67,18 @@ def renumber_ids(
         )
         return old
 
-    phases: list[Phase] = []
-    for i, p in enumerate(record.phases):
-        new_id = f"phase-{len(merged.phases) + i + 1}"
-        phase_map[p.id] = new_id
-        phases.append(
-            replace(p, id=new_id, group_id=remap(group_map, p.group_id, f"phases[{i}].group_id"))
-        )
-
-    steps: list[Step] = []
-    for i, s in enumerate(record.steps):
-        new_id = f"step-{len(merged.steps) + i + 1}"
-        steps.append(
-            replace(
-                s,
-                id=new_id,
-                phase_id=remap(phase_map, s.phase_id, f"steps[{i}].phase_id"),
-                group_id=remap(group_map, s.group_id, f"steps[{i}].group_id"),
-            )
-        )
-
-    renumbered = BmrRecord(
-        header=record.header,
-        groups=groups,
-        phases=phases,
-        steps=steps,
-        extra=dict(record.extra),
-    )
-    return renumbered, issues
+    # Paths count from the end of ``merged``, which this record is appended
+    # to. A chained assignment binds left to right: the map key is the old id.
+    for i, g in enumerate(record.groups, start=len(merged.groups)):
+        group_map[g.id] = g.id = f"group-{i + 1}"
+    for i, p in enumerate(record.phases, start=len(merged.phases)):
+        phase_map[p.id] = p.id = f"phase-{i + 1}"
+        p.group_id = remap(group_map, p.group_id, f"phases[{i}].group_id")
+    for i, s in enumerate(record.steps, start=len(merged.steps)):
+        s.id = f"step-{i + 1}"
+        s.phase_id = remap(phase_map, s.phase_id, f"steps[{i}].phase_id")
+        s.group_id = remap(group_map, s.group_id, f"steps[{i}].group_id")
+    return issues
 
 
 def merge_chunk_results(
@@ -110,6 +86,8 @@ def merge_chunk_results(
 ) -> tuple[BmrRecord, list[ValidationIssue]]:
     """Concatenate chunk records in order after global renumbering.
 
+    The chunk records are consumed: each is renumbered in place, and its
+    groups, phases, steps and header fields become the merged record's.
     Header fields take the first non-null value across chunks; later
     conflicting values are kept out and flagged. Failed chunks contribute a
     CHUNK_MISSING issue. Raises EmptyMergeError when nothing merged.
@@ -131,13 +109,13 @@ def merge_chunk_results(
             )
             continue
         merged_any = True
-        renumbered, local_issues = renumber_ids(result.record, merged)
-        issues.extend(local_issues)
-        merged.groups.extend(renumbered.groups)
-        merged.phases.extend(renumbered.phases)
-        merged.steps.extend(renumbered.steps)
+        record = result.record
+        issues.extend(renumber_ids(record, merged))
+        merged.groups.extend(record.groups)
+        merged.phases.extend(record.phases)
+        merged.steps.extend(record.steps)
         for key in HEADER_KEYS:
-            incoming = getattr(renumbered.header, key)
+            incoming = getattr(record.header, key)
             current = getattr(merged.header, key)
             if incoming.value is None:
                 continue

@@ -19,6 +19,7 @@ from .grammar import (
     BOILERPLATE_LABEL_RE,
     BULLET_RE,
     CALC_RE,
+    FORMULA_RE,
     STEP_RE,
     parse_form_body,
     read_calculation,
@@ -196,9 +197,11 @@ def extract_markdown_record(text: str) -> BmrRecord:
             continue
 
         calc_title = CALC_RE.match(line)
-        if calc_title:
-            calculation, i = read_calculation(lines, i + 1)
-            title = f"{calc_title.group(1).strip()} Calculation".lstrip()
+        # A bare "Formula:" line opens an untitled block, as the detector reads it.
+        if calc_title or FORMULA_RE.match(line):
+            name = calc_title.group(1).strip() if calc_title else ""
+            calculation, i = read_calculation(lines, i + 1 if calc_title else i)
+            title = f"{name} Calculation".lstrip()
             builder.emit(Content(kind="calculation", text=title, calculation=calculation))
             continue
         step = STEP_RE.match(line)

@@ -1,17 +1,17 @@
 """Three validation layers: syntactic, structural, pharmaceutical compliance.
 
-The syntactic layer checks raw JSON text where it enters: that it parses and
-that it holds no executable-constructor residue. It runs on each model reply
-(``extraction._attempt``) and in ``read_record_text``, which reads a record
-file for ``validate_all`` and ``bmrkit validate``. ``parse_record`` then checks
-the shape of the value, and the typed layers run on the parsed record
-(``validate_record``): structural checks (class separation, id uniqueness,
-referential integrity), and a compliance layer that applies a small
-documented rule set derived from GMP expectations: complete calculations, units
-on limited values, named steps, a populated header block, surfaced unresolved
-references, and well-formed pass/fail values. Each later layer runs only when
-the previous one produced no errors, so issues always point at the first
-broken precondition.
+The syntactic layer checks raw JSON text where it enters: that it holds no
+executable-constructor residue and that it parses. ``read_record_text`` is the
+one reader of raw record text: each model reply (``extraction._attempt``),
+``validate_all``, ``bmrkit validate`` and ``bmrkit score`` go through it.
+``parse_record`` then checks the shape of the value, and the typed layers run
+on the parsed record (``validate_record``): structural checks (class
+separation, id uniqueness, referential integrity), and a compliance layer that
+applies a small documented rule set derived from GMP expectations: complete
+calculations, units on limited values, named steps, a populated header block,
+surfaced unresolved references, and well-formed pass/fail values. Each later
+layer runs only when the previous one produced no errors, so issues always
+point at the first broken precondition.
 """
 
 from __future__ import annotations
@@ -80,12 +80,17 @@ def validate_syntactic(json_text: str) -> list[ValidationIssue]:
 
 
 def _syntactic(json_text: str) -> tuple[list[ValidationIssue], Any]:
-    """The syntactic issues and the parsed value (None when unparseable)."""
+    """The syntactic issues and the parsed value (None when there are issues).
+
+    The residue scan runs first, on the text as received, so that it names a
+    constructor even when the constructor broke the JSON."""
+    residue = constructor_residue(json_text)
+    if residue:
+        return residue, None
     try:
-        value = json.loads(json_text)
+        return [], json.loads(json_text)
     except (json.JSONDecodeError, ValueError) as exc:
         return [issue_error(LAYER_SYNTACTIC, "", JSON_MALFORMED, str(exc))], None
-    return constructor_residue(json_text), value
 
 
 def constructor_residue(text: str) -> list[ValidationIssue]:

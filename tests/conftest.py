@@ -307,6 +307,7 @@ SEEDED_FAULTS = [
     ("BAD_CONTENT_KIND", "structural", "error", "steps[0].content[0].type", _mutate(_seed_bad_content_kind)),
     ("ROW_WIDTH_MISMATCH", "structural", "error", "steps[0].content[3].rows[0]", _mutate(_seed_row_width)),
     ("CODE_SYNTAX_RESIDUE", "syntactic", "error", "", _mutate(_seed_residue)),
+    ("CODE_SYNTAX_RESIDUE", "syntactic", "error", "", lambda: '{"header": new Header()}'),
     ("CLASS_NESTING", "structural", "error", "groups[0]", _mutate(_seed_class_nesting)),
     ("DUP_ID", "structural", "error", "groups[1].id", _mutate(_seed_dup_id)),
     ("DANGLING_REF", "structural", "error", "steps[1].phase_id", _mutate(_seed_dangling_ref)),
@@ -321,6 +322,14 @@ SEEDED_FAULTS = [
     ("UNRESOLVED_REF", "compliance", "warning", "steps[0].content[0]", _mutate(_seed_unresolved_ref)),
     ("MISSING_FIELD", "structural", "error", "header.sku", _mutate(_seed_missing_field)),
     ("BAD_ID_FORMAT", "structural", "error", "groups[0].id", _mutate(_seed_bad_id_format)),
+]
+
+# A test id per SEEDED_FAULTS row: its code and path, numbered from the second
+# row that shares both.
+_FAULT_KEYS = [f"{c}-{p or 'root'}" for c, _, _, p, _ in SEEDED_FAULTS]
+SEEDED_FAULT_IDS = [
+    f"{key}-{_FAULT_KEYS[:i].count(key) + 1}" if key in _FAULT_KEYS[:i] else key
+    for i, key in enumerate(_FAULT_KEYS)
 ]
 
 

@@ -337,16 +337,18 @@ def test_validate_prints_the_report_of_a_separate_reference_pass(tmp_path, capsy
     assert capsys.readouterr().out == committed
 
 
-def test_validate_parses_the_record_once(monkeypatch):
+def test_validate_parses_the_record_once(monkeypatch, tmp_path):
     calls = []
 
     def counting_parse(value):
         calls.append(value)
         return parse_record(value)
 
-    monkeypatch.setattr(cli, "parse_record", counting_parse)
     monkeypatch.setattr(validation, "parse_record", counting_parse)
     assert run(["validate", DATA_DIR / "generated_bmr.record.json"]) == 0
+    assert len(calls) == 1
+    calls.clear()
+    assert run(["score", SAMPLE_BMR, SAMPLE_RECORD, "--metrics-out", tmp_path / "m.json"]) == 0
     assert len(calls) == 1
 
 
@@ -400,6 +402,17 @@ def test_score_rejects_invalid_record(tmp_path):
     record = tmp_path / "r.json"
     record.write_text(json.dumps({"groups": []}))
     assert run(["score", src, record]) == 2
+
+
+def test_score_refuses_residue_in_a_string(tmp_path, capsys):
+    value = json.loads(SAMPLE_RECORD.read_text(encoding="utf-8"))
+    value["steps"][0]["step_name"]["value"] = "new Field(null)"
+    record = tmp_path / "residue.json"
+    record.write_text(json.dumps(value))
+    metrics_out = tmp_path / "metrics.json"
+    assert run(["score", SAMPLE_BMR, record, "--metrics-out", metrics_out]) == 2
+    assert "CODE_SYNTAX_RESIDUE: constructor call residue" in capsys.readouterr().err
+    assert not metrics_out.exists()
 
 
 def test_weights_flag_changes_composite(tmp_path):

@@ -22,6 +22,7 @@ from bmrkit.extraction import (
     PARSE_FAILED,
     SCHEMA_INVALID,
     TAG_FALLBACK,
+    _attempt,
     build_prompt,
     extract_json_block,
     process_single_chunk,
@@ -30,9 +31,12 @@ from bmrkit.extraction import (
 from bmrkit.ingest import SourceDocument
 from bmrkit.metrics import crude_word_coverage
 from bmrkit.schema import serialize_record
+from bmrkit.validation import JSON_MALFORMED, read_record_text
 
 from conftest import (
     EMPTY_RECORD_JSON,
+    SEEDED_FAULT_IDS,
+    SEEDED_FAULTS,
     FailingBackend,
     ScriptedBackend,
     clean_record_json,
@@ -56,6 +60,13 @@ def test_prompt_contains_wrap_instruction():
 def test_prompt_forbids_nesting():
     prompt = build_prompt(CHUNK, 2)
     assert "Do NOT nest phases inside" in prompt
+
+
+def test_prompt_leaves_optional_members_to_the_schema_text():
+    prompt = build_prompt(CHUNK, 2)
+    assert "must include ALL fields" not in prompt
+    assert "an optional (?) slot may be null or absent" in prompt
+    assert "5. Include ALL relevant information" in prompt
 
 
 def test_prompt_substitutes_counters_and_payloads():
@@ -124,14 +135,35 @@ def test_retry_recovers_from_malformed_json():
     result = process_single_chunk(CHUNK, 1, CFG, backend)
     assert result.attempts_used == 2
     assert result.record is not None
-    assert any(i.code == PARSE_FAILED for i in result.issues)
+    assert any(i.code == JSON_MALFORMED for i in result.issues)
 
 
 def test_retry_prompt_carries_prior_issue_codes():
     backend = ScriptedBackend(["<json>{broken</json>", wrap_json(clean_record_json())])
     process_single_chunk(CHUNK, 1, CFG, backend)
-    assert PARSE_FAILED in backend.prompts[1]
+    assert JSON_MALFORMED in backend.prompts[1]
     assert backend.prompts[1].startswith(backend.prompts[0])
+
+
+def test_malformed_json_alone_fails_as_parse_failed():
+    result = process_single_chunk(CHUNK, 1, CFG, ScriptedBackend(["<json>{broken</json>"]))
+    assert result.record is None
+    assert result.failure == PARSE_FAILED
+    assert [i.code for i in result.issues] == [JSON_MALFORMED] * CFG.max_attempts
+
+
+@pytest.mark.parametrize(
+    "build",
+    [build for _, layer, _, _, build in SEEDED_FAULTS if layer == "syntactic"],
+    ids=[i for i, (_, layer, *_) in zip(SEEDED_FAULT_IDS, SEEDED_FAULTS) if layer == "syntactic"],
+)
+def test_reply_and_record_file_report_the_same_syntactic_codes(build):
+    text = build()
+    expected = [i.code for i in read_record_text(text)]
+    backend = ScriptedBackend(["<json>" + text + "</json>"])
+    record, issues, failure = _attempt("prompt", CFG, backend)
+    assert record is None and failure == PARSE_FAILED
+    assert [i.code for i in issues] == expected
 
 
 def test_residue_that_breaks_the_json_is_named_in_the_repair_prompt():

@@ -175,10 +175,23 @@ def test_calculation_block_ends_at_a_step_heading():
         "- a: 1 kg\n- b: 2 kg\n**Step 2:** Dose\nFormula: c x d\n"
     )
     assert detect_source_calculations(text) == [("a x b", ["a", "b"]), ("c x d", [])]
-    [calc] = _calculations(text)
+    calc, bare = _calculations(text)
     assert calc.formula == "a x b"
     assert [v.name for v in calc.variables] == ["a", "b"]
+    assert (bare.formula, bare.variables) == ("c x d", [])
     assert [s.step_name.value for s in extract_markdown_record(text).steps] == ["Mix", "Dose"]
+    assert _scores(text)[1] == 100.0
+
+
+def test_bare_formula_line_opens_a_calculation():
+    text = "**Step 1:** Mix\nFormula: a x b\nVariables:\n- a: 1 kg\n- b: 2 kg"
+    assert detect_source_calculations(text) == [("a x b", ["a", "b"])]
+    [calc] = _calculations(text)
+    assert [(v.name, v.value, v.unit) for v in calc.variables] == [
+        ("a", 1.0, "kg"), ("b", 2.0, "kg")
+    ]
+    assert _fields(text) == []
+    assert _scores(text)[1] == 100.0
 
 
 def test_calculation_block_ends_at_a_heading_line_only():

@@ -52,27 +52,40 @@ def _failed(index) -> ChunkResult:
 
 
 def test_renumber_continues_after_merged_record():
-    merged, _ = renumber_ids(_record(), BmrRecord.empty())
-    renumbered, issues = renumber_ids(_record(), merged)
+    merged = _record()
+    assert renumber_ids(merged, BmrRecord.empty()) == []
+    record = _record()
+    issues = renumber_ids(record, merged)
     assert issues == []
-    assert renumbered.groups[0].id == "group-2"
-    assert all(p.group_id == "group-2" for p in renumbered.phases)
-    assert all(s.group_id == "group-2" for s in renumbered.steps)
-    assert [p.id for p in renumbered.phases] == ["phase-2"]
-    assert [s.id for s in renumbered.steps] == ["step-3", "step-4"]
+    assert record.groups[0].id == "group-2"
+    assert all(p.group_id == "group-2" for p in record.phases)
+    assert all(s.group_id == "group-2" for s in record.steps)
+    assert [p.id for p in record.phases] == ["phase-2"]
+    assert [s.id for s in record.steps] == ["step-3", "step-4"]
 
 
 def test_renumber_empty_record_adds_no_id():
-    renumbered, issues = renumber_ids(BmrRecord.empty(), _record())
+    record = BmrRecord.empty()
+    issues = renumber_ids(record, _record())
     assert issues == []
-    assert (renumbered.groups, renumbered.phases, renumbered.steps) == ([], [], [])
+    assert (record.groups, record.phases, record.steps) == ([], [], [])
 
 
 def test_renumber_flags_dangling_local_ref():
     record = _record(**{"steps/1/phase_id": "phase-9"})
-    renumbered, issues = renumber_ids(record, BmrRecord.empty())
+    issues = renumber_ids(record, BmrRecord.empty())
     assert [i.code for i in issues] == [DANGLING_LOCAL_REF]
-    assert renumbered.steps[1].phase_id == "phase-9"
+    assert record.steps[1].phase_id == "phase-9"
+
+
+def test_dangling_local_ref_names_the_merged_path():
+    second = _record(**{"steps/0/phase_id": "phase-9"})
+    merged, issues = merge_chunk_results([_ok(0, _record()), _ok(1, second)])
+    [dangling] = [i for i in issues if i.code == DANGLING_LOCAL_REF]
+    assert dangling.path == "steps[2].phase_id"
+    assert merged.steps[2] is second.steps[0]
+    assert merged.steps[2].phase_id == "phase-9"
+    assert merged.steps[2].id == "step-3"
 
 
 def test_two_chunks_with_same_local_step_id():

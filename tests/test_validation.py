@@ -34,7 +34,9 @@ from bmrkit.validation import (
     validate_syntactic,
 )
 
-from conftest import DATA_DIR, SAMPLE_RECORD, SEEDED_FAULTS, clean_record_json, refs_for_json
+from conftest import (
+    DATA_DIR, SAMPLE_RECORD, SEEDED_FAULT_IDS, SEEDED_FAULTS, clean_record_json, refs_for_json,
+)
 
 
 def test_clean_record_has_no_issues():
@@ -58,7 +60,7 @@ def test_golden_record_passes_with_header_warnings():
 @pytest.mark.parametrize(
     "code,layer,severity,path,build",
     SEEDED_FAULTS,
-    ids=[f"{c}-{p or 'root'}" for c, _, _, p, _ in SEEDED_FAULTS],
+    ids=SEEDED_FAULT_IDS,
 )
 def test_seeded_fault_detected_exactly(code, layer, severity, path, build):
     text = build()
