@@ -17,9 +17,10 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field as dc_field, fields as dc_fields, replace
 from pathlib import Path
+from typing import Any
 
 from .chunker import ChunkingConfig, WordTokenizer, chunk_text_by_tokens
-from .extraction import ExtractionConfig, HttpChatBackend, run_parallel
+from .extraction import ExtractionConfig, HttpChatBackend, parse_endpoint, run_parallel
 from .ingest import DecodeError, ReadError, load_markdown
 from .issues import LAYER_STRUCTURAL, ValidationIssue, issue_error
 from .merge import EmptyMergeError, merge_chunk_results, resolve_cross_references
@@ -55,10 +56,14 @@ class PipelineConfig:
     summary_out: str | None = None
 
     def __post_init__(self) -> None:
-        # Every range is checked here, before any input is read: building the
-        # stage configs checks theirs, and the HTTP backend's two follow.
+        # Every value is checked here, before any input is read: building the
+        # stage configs checks theirs, and the backend's follow.
         self.chunking()
         self.extraction()
+        if self.backend not in ("mock", "http"):
+            raise ValueError(f"unknown backend kind {self.backend!r}")
+        if self.backend == "http":
+            parse_endpoint(self.endpoint)
         if self.timeout <= 0:
             raise ValueError("timeout must be positive")
         if self.transport_retries < 0:
@@ -76,15 +81,16 @@ class PipelineConfig:
         )
 
     @classmethod
-    def from_file(cls, path: str) -> "PipelineConfig":
+    def from_file(cls, path: str, **overrides: Any) -> "PipelineConfig":
+        """The config in the JSON file at ``path``, with ``overrides`` in place
+        of its keys before any value is checked."""
         data = json.loads(Path(path).read_text(encoding="utf-8"))
         if not isinstance(data, dict):
             raise ValueError(f"{path}: expected a JSON object, got {data!r:.40}")
         weights = data.pop("weights", None)
-        cfg = cls(**data)
         if weights:
-            cfg.weights = WeightVector(**weights)
-        return cfg
+            data["weights"] = WeightVector(**weights)
+        return cls(**{**data, **overrides})
 
 
 @dataclass
@@ -104,16 +110,12 @@ class RunSummary:
 def _make_backend(cfg: PipelineConfig):
     if cfg.backend == "mock":
         return MockBackend()
-    if cfg.backend == "http":
-        if not cfg.endpoint:
-            raise ValueError("http backend requires an endpoint")
-        return HttpChatBackend(
-            endpoint=cfg.endpoint,
-            auth_env=cfg.auth_env,
-            timeout=cfg.timeout,
-            transport_retries=cfg.transport_retries,
-        )
-    raise ValueError(f"unknown backend kind {cfg.backend!r}")
+    return HttpChatBackend(
+        endpoint=cfg.endpoint,
+        auth_env=cfg.auth_env,
+        timeout=cfg.timeout,
+        transport_retries=cfg.transport_retries,
+    )
 
 
 def _print_issues(issues: list[ValidationIssue], indent: str) -> None:
@@ -309,14 +311,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
-    cfg = (
-        PipelineConfig.from_file(args.config)
-        if getattr(args, "config", None)
-        else PipelineConfig()
-    )
     # Each config field is overridden by the flag of the same dest; a field
-    # with no flag reads as None. --weights merges into the weights below.
-    # replace() builds a new config, so the overridden values are checked too.
+    # with no flag reads as None. The overrides replace the file's keys before
+    # the config checks its values, so a flag can mend a value the file lacks
+    # (an endpoint, say). --weights merges into the weights below.
     overrides = {
         f.name: getattr(args, f.name)
         for f in dc_fields(PipelineConfig)
@@ -324,12 +322,17 @@ def _config_from_args(args: argparse.Namespace) -> PipelineConfig:
     }
     if getattr(args, "mock", False):
         overrides["backend"] = "mock"
+    cfg = (
+        PipelineConfig.from_file(args.config, **overrides)
+        if getattr(args, "config", None)
+        else PipelineConfig(**overrides)
+    )
     raw_weights = getattr(args, "weights", None)
     if raw_weights:
         base = {name: getattr(cfg.weights, name) for name in vars(cfg.weights)}
         base.update(json.loads(raw_weights))
-        overrides["weights"] = WeightVector(**base)
-    return replace(cfg, **overrides)
+        cfg = replace(cfg, weights=WeightVector(**base))
+    return cfg
 
 
 def main(argv: list[str] | None = None) -> int:

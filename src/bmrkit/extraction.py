@@ -10,11 +10,17 @@ stage renumbers globally.
 
 from __future__ import annotations
 
+import json
 import logging
 import os
+import sys
+import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
-from typing import TYPE_CHECKING, Any, Mapping, Protocol
+from functools import partial
+from typing import Any, Mapping, Protocol
+from urllib.parse import SplitResult, unquote, urlsplit
 
 from .chunker import Chunk
 from .ingest import SourceDocument
@@ -27,9 +33,6 @@ from .issues import (
 from .metrics import crude_word_coverage
 from .schema import BmrRecord, schema_prompt_text
 from .validation import read_record_text
-
-if TYPE_CHECKING:
-    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -195,8 +198,10 @@ def process_single_chunk(
     """Extract one chunk, retrying up to ``cfg.max_attempts`` times.
 
     Each retry re-sends the original prompt plus a repair section listing the
-    previous attempt's issue codes and messages. The final failure reason
-    mirrors the stage the last attempt died in.
+    previous attempt's issue codes and messages. A BACKEND_ERROR gets no repair
+    section, since the model never answered: the retry re-sends the original
+    prompt alone. The final failure reason mirrors the stage the last attempt
+    died in.
     """
     base_prompt = build_prompt(chunk, total_chunks)
     all_issues: list[ValidationIssue] = []
@@ -205,7 +210,7 @@ def process_single_chunk(
 
     for attempt in range(1, cfg.max_attempts + 1):
         prompt = base_prompt
-        if prior_issues:
+        if prior_issues and failure != BACKEND_ERROR:
             prompt += _repair_section(prior_issues)
         record, prior_issues, failure = _attempt(prompt, cfg, backend)
         all_issues.extend(prior_issues)
@@ -271,17 +276,84 @@ def run_parallel(
         return [f.result() for f in futures]
 
 
+def parse_endpoint(endpoint: str) -> SplitResult:
+    """``endpoint`` split into its parts, or ValueError unless it is an
+    absolute http or https URL with a host and a port in 1..65535."""
+    url = urlsplit(endpoint)
+    try:
+        port = url.port
+    except ValueError as exc:  # a port that is not a number in 0..65535
+        raise ValueError(f"endpoint {endpoint!r}: {exc}") from None
+    if url.scheme not in ("http", "https") or not url.hostname or port == 0:
+        raise ValueError(
+            f"endpoint {endpoint!r} is not an absolute http or https URL with a host"
+        )
+    return url
+
+
+def _env_proxy(url: SplitResult) -> SplitResult | None:
+    """The proxy that ``HTTP_PROXY`` or ``HTTPS_PROXY`` names for ``url``, or
+    None when there is none or ``NO_PROXY`` bypasses it. Only plain http
+    proxies are supported: http.client cannot speak TLS to the proxy itself."""
+    # urllib.request is slow to import, and on Linux its getproxies() reads
+    # nothing but the environment: with no proxy variable for the scheme there
+    # is no proxy to look up.
+    if sys.platform not in ("darwin", "win32") and not any(
+        value and name.lower() == f"{url.scheme}_proxy" for name, value in os.environ.items()
+    ):
+        return None
+    import urllib.request
+
+    proxy = urllib.request.getproxies().get(url.scheme)
+    if not proxy or urllib.request.proxy_bypass(url.netloc.rpartition("@")[2]):
+        return None
+    parsed = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    if parsed.scheme != "http" or not parsed.hostname:
+        raise ValueError(f"{url.scheme} proxy {proxy!r} is not an http:// URL with a host")
+    return parsed
+
+
+class _KeptConnection:
+    """One thread's connection in a backend's thread-local storage. The slot
+    is released when its thread ends or the backend is dropped, whichever
+    comes first, and the connection is closed with it."""
+
+    def __init__(self, conn: Any) -> None:
+        self.conn = conn
+        weakref.finalize(self, conn.close)
+
+
+def _peer_closed(sock: Any) -> bool:
+    """Whether an idle kept-alive socket reads as readable at zero timeout: the
+    peer has closed it, or sent bytes no request asked for, so it cannot carry
+    the next exchange. urllib3's ``is_connection_dropped`` makes the same test."""
+    import select
+
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(sock, select.POLLIN)
+        return bool(poller.poll(0))
+    return bool(select.select([sock], [], [], 0)[0])
+
+
 class HttpChatBackend:
-    """Chat-completion JSON-over-HTTP backend.
+    """Chat-completion JSON-over-HTTP backend on the standard library's
+    ``http.client``.
 
     Sends the prompt as a single user message along with the model name and
     generation parameters; expects one text completion back. The bearer token
     is read from the environment variable named in the configuration.
     Transport errors are retried up to ``transport_retries`` times.
 
-    ``requests`` is imported in ``__init__`` and ``complete``, not at module
-    level: it is the slowest import in the package and only this backend
-    needs it, so runs on other backends never load it.
+    Each worker thread keeps one persistent connection, reused across its calls
+    and closed when the thread ends. A kept connection that the server closed
+    while it was idle is reopened before use, so it costs no transport retry.
+    The proxy comes from the environment (see ``_env_proxy``). TLS is verified
+    by the default ``ssl`` context.
+
+    ``http.client`` is imported in ``__init__``, not at module level: it loads
+    ``ssl``, and only this backend needs either, so runs on other backends load
+    neither.
     """
 
     def __init__(
@@ -290,20 +362,61 @@ class HttpChatBackend:
         auth_env: str = "BMR_API_TOKEN",
         timeout: float = 60.0,
         transport_retries: int = 2,
-        session: requests.Session | None = None,
     ) -> None:
-        import requests
+        import http.client
+        import ssl
 
+        url = parse_endpoint(endpoint)
         self.endpoint = endpoint
         self.auth_env = auth_env
         self.timeout = timeout
         self.transport_retries = transport_retries
-        self._session = session or requests.Session()
+        self._transport_errors = (OSError, http.client.HTTPException)
+        self._local = threading.local()
+
+        host, port = url.hostname, url.port or (443 if url.scheme == "https" else 80)
+        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        self._headers = {"Content-Type": "application/json"}
+        self._tunnel: tuple[str, int, dict[str, str]] | None = None
+        proxy = _env_proxy(url)
+        if proxy is not None:
+            proxy_auth = {}
+            if proxy.username is not None:
+                import base64
+
+                credentials = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
+                proxy_auth["Proxy-Authorization"] = (
+                    "Basic " + base64.b64encode(credentials.encode("utf-8")).decode("ascii")
+                )
+            if url.scheme == "https":
+                self._tunnel = (host, port, proxy_auth)
+            else:
+                # Through an http proxy the request line names the whole URL.
+                self._target = f"http://{url.netloc.rpartition('@')[2]}{self._target}"
+                self._headers.update(proxy_auth)
+            host, port = proxy.hostname, proxy.port or 80
+        if url.scheme == "https":
+            self._connect = partial(
+                http.client.HTTPSConnection, host, port, timeout=timeout,
+                context=ssl.create_default_context(),
+            )
+        else:
+            self._connect = partial(http.client.HTTPConnection, host, port, timeout=timeout)
+
+    def _connection(self) -> Any:
+        """This thread's connection: built on first use, and closed (to reopen
+        on the next send) when the peer has closed it since the last exchange."""
+        kept = getattr(self._local, "kept", None)
+        if kept is None:
+            kept = self._local.kept = _KeptConnection(self._connect())
+            if self._tunnel is not None:
+                kept.conn.set_tunnel(*self._tunnel)
+        elif kept.conn.sock is not None and _peer_closed(kept.conn.sock):
+            kept.conn.close()
+        return kept.conn
 
     def complete(self, prompt: str, model: str, params: Mapping[str, Any]) -> str:
-        import requests
-
-        headers = {}
+        headers = dict(self._headers)
         token = os.environ.get(self.auth_env, "") if self.auth_env else ""
         if token:
             headers["Authorization"] = f"Bearer {token}"
@@ -312,24 +425,31 @@ class HttpChatBackend:
             "messages": [{"role": "user", "content": prompt}],
         }
         body.update(params)
+        payload = json.dumps(body).encode("utf-8")
+        headers["Content-Length"] = str(len(payload))
 
         last_exc: Exception | None = None
         for _ in range(self.transport_retries + 1):
+            conn = self._connection()
             try:
-                response = self._session.post(
-                    self.endpoint, json=body, headers=headers, timeout=self.timeout
-                )
-            except requests.RequestException as exc:
+                # No Accept-Encoding header, so the reply comes back uncompressed.
+                conn.putrequest("POST", self._target, skip_accept_encoding=True)
+                for name, value in headers.items():
+                    conn.putheader(name, value)
+                conn.endheaders(payload)
+                response = conn.getresponse()
+                status, reply = response.status, response.read()
+            except self._transport_errors as exc:
+                conn.close()
                 last_exc = exc
                 continue
-            if response.status_code != 200:
+            if status != 200:
                 raise BackendError(
-                    f"HTTP {response.status_code} from {self.endpoint}: "
-                    f"{response.text[:200]}"
+                    f"HTTP {status} from {self.endpoint}: "
+                    f"{reply.decode('utf-8', 'replace')[:200]}"
                 )
             try:
-                data = response.json()
-                return data["choices"][0]["message"]["content"]
+                return json.loads(reply)["choices"][0]["message"]["content"]
             except (ValueError, KeyError, IndexError, TypeError) as exc:
                 raise BackendError(f"malformed completion payload: {exc}") from exc
         raise BackendError(f"transport failure: {last_exc}")

@@ -31,7 +31,7 @@ from .issues import (
     issue_warning,
 )
 from .merge import CrossReference
-from .schema import HEADER_KEYS, BmrRecord, id_suffix, parse_record
+from .schema import HEADER_KEYS, JSON_MEMBERS, BmrRecord, id_suffix, parse_record
 
 JSON_MALFORMED = "JSON_MALFORMED"
 CODE_SYNTAX_RESIDUE = "CODE_SYNTAX_RESIDUE"
@@ -50,9 +50,15 @@ HEADER_GAP = "HEADER_GAP"
 UNRESOLVED_REF = "UNRESOLVED_REF"
 BAD_PASSFAIL = "BAD_PASSFAIL"
 
-# "new" opening a word. The word-boundary test sits after the literal, so the
-# scan can search for "new" instead of trying every position.
-_CONSTRUCTOR_RESIDUE_RE = re.compile(r"new(?<!\wnew)\s+[A-Z][A-Za-z_]*\s*\(")
+# "new" opening a word, then a constructor a model could have emitted: one of
+# the record's model classes or a JavaScript Array, Object or Date. Prose such
+# as "Install new Filter (HEPA grade)" names none of them. The word-boundary
+# test sits after the literal, so the scan can search for "new" instead of
+# trying every position.
+_RESIDUE_CONSTRUCTORS = sorted({cls.__name__ for cls in JSON_MEMBERS} | {"Array", "Object", "Date"})
+_CONSTRUCTOR_RESIDUE_RE = re.compile(
+    rf"new(?<!\wnew)\s+(?:{'|'.join(_RESIDUE_CONSTRUCTORS)})\s*\("
+)
 
 # A tuple, so that a list or object value compares unequal instead of raising.
 _PASSFAIL_VALUES = (None, "pass", "fail")

@@ -229,8 +229,31 @@ def test_process_exit_2_on_missing_input(tmp_path):
     assert run(["process", tmp_path / "missing.md", "--mock"]) == 2
 
 
-def test_http_backend_requires_endpoint(tmp_path):
+def test_http_backend_requires_endpoint(tmp_path, capsys):
     assert run(["process", SAMPLE_BMR, "--backend", "http"]) == 2
+    assert capsys.readouterr().err.startswith("error: bad configuration: ")
+
+
+def test_bad_endpoint_is_refused_before_a_missing_input(tmp_path, capsys):
+    argv = ["process", tmp_path / "missing.md", "--backend", "http", "--endpoint", "llm.local/v1"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err.startswith("error: bad configuration: endpoint 'llm.local/v1'")
+
+
+def test_flags_replace_config_file_keys_before_the_check(tmp_path, monkeypatch):
+    built = []
+    monkeypatch.setattr(cli, "_make_backend", lambda cfg: built.append(cfg) or MockBackend())
+    config = tmp_path / "config.json"
+    outs = ["--out", tmp_path / "r.json", "--report-out", tmp_path / "v.json",
+            "--metrics-out", tmp_path / "m.json"]
+    config.write_text(json.dumps({"backend": "http"}))
+    endpoint = ["--endpoint", "http://llm.local/v1"]
+    assert run(["process", SAMPLE_BMR, "--config", config, *endpoint, *outs]) == 0
+    config.write_text(json.dumps({"backend": "http", "endpoint": "llm.local/v1"}))
+    assert run(["process", SAMPLE_BMR, "--config", config, "--mock", *outs]) == 0
+    assert [(cfg.backend, cfg.endpoint) for cfg in built] == [
+        ("http", "http://llm.local/v1"), ("mock", "llm.local/v1"),
+    ]
 
 
 def test_chunk_empty_file(tmp_path, capsys):
@@ -475,13 +498,18 @@ def test_config_file_that_is_not_an_object_is_bad_configuration(tmp_path, capsys
         ("process", [], {"reprocess_threshold": -1}),
         ("process", [], {"timeout": 0}),
         ("process", [], {"transport_retries": -1}),
+        ("process", ["--backend", "http", "--endpoint", "llm.local/v1"], None),
+        ("process", ["--backend", "http", "--endpoint", "http://llm.local:x/v1"], None),
+        ("process", [], {"backend": "http", "endpoint": "ftp://llm.local/v1"}),
+        ("process", [], {"backend": "grpc"}),
         ("chunk", ["--max-tokens", "0"], None),
         ("chunk", [], {"hard_split_threshold": 0}),
     ],
     ids=[
         "workers", "max-tokens", "max-attempts", "reprocess-threshold",
         "config-workers", "config-reprocess-threshold", "config-timeout",
-        "config-transport-retries", "chunk-max-tokens",
+        "config-transport-retries", "relative-endpoint", "endpoint-port",
+        "config-endpoint-scheme", "config-backend", "chunk-max-tokens",
         "chunk-config-hard-split",
     ],
 )
