@@ -3,7 +3,8 @@
 ``process`` runs the full pipeline (load, chunk, parallel extraction, merge,
 validation layers, metrics) and writes the record, validation report, metrics
 report, and run summary. Exit codes: 0 when validation passes, 1 when
-error-severity issues exist, 2 on pipeline failure or bad configuration.
+error-severity issues exist, 2 on pipeline failure, bad configuration or an
+output that cannot be written.
 Configuration comes from an optional JSON file; any key can be overridden by
 the flag of the same name, and flags win.
 """
@@ -17,7 +18,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field as dc_field, fields as dc_fields, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from .chunker import ChunkingConfig, WordTokenizer, chunk_text_by_tokens
 from .extraction import ExtractionConfig, HttpChatBackend, parse_endpoint, run_parallel
@@ -124,10 +125,44 @@ def _print_issues(issues: list[ValidationIssue], indent: str) -> None:
         print(line, file=sys.stderr)
 
 
-def _write_json(path: str, payload: dict | list) -> None:
-    Path(path).write_text(
-        json.dumps(payload, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+class WriteError(Exception):
+    """An output file could not be written."""
+
+
+def _dump_json(value: Any, write: Callable[[str], object], pad: str = "", depth: int = 2) -> None:
+    """Write ``json.dumps(value, indent=2, ensure_ascii=False)`` in pieces: the
+    containers in the top ``depth`` levels are written one entry at a time, so
+    only one entry's text is held at once. An entry's text is re-indented by
+    padding each newline in it; this is exact because the encoder escapes every
+    control character inside a string, so each raw newline is a line break."""
+    if depth == 0 or not isinstance(value, (dict, list)) or not value:
+        write(json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n" + pad))
+        return
+    inner = pad + "  "
+    is_dict = isinstance(value, dict)
+    write("{" if is_dict else "[")
+    for i, entry in enumerate(value.items() if is_dict else value):
+        write(",\n" + inner if i else "\n" + inner)
+        if is_dict:
+            key, entry = entry
+            write(json.dumps(key, ensure_ascii=False) + ": ")
+        _dump_json(entry, write, inner, depth - 1)
+    write("\n" + pad + ("}" if is_dict else "]"))
+
+
+def _write_json(path: str | None, payload: dict | list) -> None:
+    """Write ``payload`` as ``json.dumps(payload, indent=2, ensure_ascii=False)``
+    and a newline, to the file at ``path`` or, when it is None, to stdout."""
+    if path is None:
+        _dump_json(payload, sys.stdout.write)
+        sys.stdout.write("\n")
+        return
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            _dump_json(payload, fh.write)
+            fh.write("\n")
+    except OSError as exc:
+        raise WriteError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def cmd_process(input_path: str, cfg: PipelineConfig) -> int:
@@ -218,10 +253,7 @@ def cmd_chunk(input_path: str, cfg: PipelineConfig, out: str | None) -> int:
         {"index": c.index, "token_count": c.token_count, "text": c.text}
         for c in chunks
     ]
-    if out:
-        _write_json(out, payload)
-    else:
-        print(json.dumps(payload, indent=2, ensure_ascii=False))
+    _write_json(out or None, payload)
     return EXIT_OK
 
 
@@ -236,7 +268,7 @@ def cmd_validate(record_path: str) -> int:
         report = ValidationReport(issues=parsed)
     else:
         report = validate_record(*resolve_cross_references(parsed))
-    print(json.dumps(report.to_json(), indent=2, ensure_ascii=False))
+    _write_json(None, report.to_json())
     return EXIT_OK if report.passed else EXIT_ISSUES
 
 
@@ -346,12 +378,22 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: bad configuration: {exc}", file=sys.stderr)
         return EXIT_PIPELINE_FAILURE
     if args.command == "process":
-        return cmd_process(args.input, cfg)
-    if args.command == "chunk":
-        return cmd_chunk(args.input, cfg, args.out)
-    if args.command == "score":
+        outputs = (cfg.out, cfg.report_out, cfg.metrics_out, cfg.summary_out)
+    else:
+        outputs = (args.out,) if args.command == "chunk" else (cfg.metrics_out,)
+    for path in filter(None, outputs):
+        if not (parent := Path(path).parent).is_dir():
+            print(f"error: cannot write {path}: {parent} is not a directory", file=sys.stderr)
+            return EXIT_PIPELINE_FAILURE
+    try:
+        if args.command == "process":
+            return cmd_process(args.input, cfg)
+        if args.command == "chunk":
+            return cmd_chunk(args.input, cfg, args.out)
         return cmd_score(args.source, args.record, cfg)
-    raise AssertionError(f"unhandled command {args.command}")
+    except WriteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PIPELINE_FAILURE
 
 
 def entrypoint() -> None:

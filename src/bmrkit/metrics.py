@@ -427,11 +427,15 @@ def _reference_coverage(src: SourceIndex, rec: RecordIndex) -> float:
     if not detected:
         return 100.0
     resolved_texts = {r.ref_text.lower() for r in rec.refs if r.resolved}
+    # A source repeats its references ("see Step 3"), and each test scans the
+    # whole record blob, so each distinct phrase is tested once.
+    found: dict[str, bool] = {}
     covered = 0
     for ref_text in detected:
         needle = " ".join(ref_text.lower().split())
-        if needle in rec.blob or needle in resolved_texts:
-            covered += 1
+        if needle not in found:
+            found[needle] = needle in rec.blob or needle in resolved_texts
+        covered += found[needle]
     return 100.0 * covered / len(detected)
 
 

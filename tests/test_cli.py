@@ -1,14 +1,20 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import sys
+import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import bmrkit.cli as cli
 import bmrkit.validation as validation
 from bmrkit.cli import main
 from bmrkit.mock_backend import MockBackend
-from bmrkit.schema import parse_record
+from bmrkit.mock_backend import extract_markdown_record
+from bmrkit.schema import parse_record, serialize_record
 from bmrkit.validation import validate_all
 
 from conftest import (
@@ -535,3 +541,134 @@ def test_bad_configuration_exits_2_before_reading_input(
     assert run(argv) == 2
     assert capsys.readouterr().err.startswith("error: bad configuration: ")
     assert not any(path.exists() for path in outs)
+
+
+# --------------------------------------------------------------------------
+# Unwritable outputs
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["process", SAMPLE_BMR, "--out", "{missing}/r.json"],
+        ["process", SAMPLE_BMR, "--out", "{tmp}/r.json", "--report-out", "{missing}/v.json"],
+        ["process", SAMPLE_BMR, "--out", "{tmp}/r.json", "--metrics-out", "{missing}/m.json"],
+        ["process", SAMPLE_BMR, "--out", "{tmp}/r.json", "--summary-out", "{missing}/s.json"],
+        ["chunk", SAMPLE_BMR, "--out", "{missing}/c.json"],
+        ["score", SAMPLE_BMR, SAMPLE_RECORD, "--metrics-out", "{missing}/m.json"],
+    ],
+    ids=["process-out", "process-report-out", "process-metrics-out", "process-summary-out",
+         "chunk-out", "score-metrics-out"],
+)
+def test_missing_output_directory_exits_2_before_reading_input(tmp_path, monkeypatch, capsys, argv):
+    backend = ScriptedBackend([wrap_json(clean_record_json())])
+    monkeypatch.setattr(cli, "_make_backend", lambda cfg: backend)
+    monkeypatch.chdir(tmp_path)
+    missing = tmp_path / "missing"
+    argv = [str(a).format(tmp=tmp_path, missing=missing) for a in argv]
+
+    def no_load(path):
+        raise AssertionError("input read despite an unwritable output")
+
+    monkeypatch.setattr(cli, "load_markdown", no_load)
+    assert run(argv) == 2
+    (unwritable,) = [a for a in argv if a.startswith(str(missing))]
+    assert capsys.readouterr().err == f"error: cannot write {unwritable}: {missing} is not a directory\n"
+    assert backend.calls == 0
+    # The outputs a case does not name default to the working directory.
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_failed_write_exits_2_naming_the_path(tmp_path, capsys):
+    # A directory passes the check on its parent, and opening it then fails.
+    argv = ["process", SAMPLE_BMR, "--mock", "--out", tmp_path,
+            "--report-out", tmp_path / "v.json", "--metrics-out", tmp_path / "m.json"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+    assert not (tmp_path / "v.json").exists()
+
+
+# --------------------------------------------------------------------------
+# The streamed JSON writer
+
+json_text = st.text(max_size=12) | st.sampled_from(
+    ["", "\u2028", "line\nbreak", "tab\there", "\r\n", "é\u00a0漢字", '"quoted\\"', "\x00\x1f"]
+)
+json_scalars = (
+    st.none() | st.booleans() | st.integers() | st.floats() | json_text
+    | st.sampled_from([5.0, -0.0, 1e16, 1e-7, 2**64])
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_text, inner, max_size=4),
+    max_leaves=25,
+)
+top_level = st.lists(json_values, max_size=5) | st.dictionaries(json_text, json_values, max_size=5)
+
+
+def assert_written_as_json_dumps(path, value):
+    expected = json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+    cli._write_json(str(path), value)
+    assert path.read_bytes() == expected.encode("utf-8")
+    with contextlib.redirect_stdout(io.StringIO()) as stdout:
+        cli._write_json(None, value)
+    assert stdout.getvalue() == expected
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(top_level)
+def test_write_json_matches_json_dumps(tmp_path, value):
+    assert_written_as_json_dumps(tmp_path / "out.json", value)
+
+
+extra_members = st.dictionaries(json_text.map(lambda key: "x_" + key), json_values, max_size=3)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(extra_members, extra_members)
+def test_write_json_matches_json_dumps_on_records_with_extra_members(tmp_path, top, step):
+    value = clean_record_json()
+    value.update(top)
+    value["steps"][0].update(step)
+    record = parse_record(value)
+    assert record.extra.keys() == top.keys() and record.steps[0].extra.keys() == step.keys()
+    assert_written_as_json_dumps(tmp_path / "record.json", serialize_record(record))
+
+
+def test_process_writes_record_and_report_as_json_dumps(tmp_path, monkeypatch):
+    bad = clean_record_json()
+    bad["steps"][0]["phase_id"] = "phase-9"
+    bad["steps"][0]["x_note"] = "first line\nsecond line\u2028"
+    monkeypatch.setattr(cli, "_make_backend", lambda cfg: ScriptedBackend([wrap_json(bad)]))
+    outs = [tmp_path / name for name in ("r.json", "v.json", "m.json", "s.json")]
+    argv = ["process", SAMPLE_BMR, "--out", outs[0], "--report-out", outs[1],
+            "--metrics-out", outs[2], "--summary-out", outs[3]]
+    assert run(argv) == 1
+    for path in outs:
+        text = path.read_text(encoding="utf-8")
+        assert text == json.dumps(json.loads(text), indent=2, ensure_ascii=False) + "\n"
+    assert json.loads(outs[0].read_text())["steps"][0]["x_note"] == bad["steps"][0]["x_note"]
+    assert json.loads(outs[1].read_text())["issues"]
+
+
+def test_write_json_peak_memory_is_below_the_output_size(tmp_path):
+    """Writing a 50k-word record holds one entry's text at a time; encoding it
+    whole held several copies of the output."""
+    sys.path.insert(0, str(DATA_DIR.parents[1] / "perfbench"))
+    try:
+        import corpus
+    finally:
+        sys.path.pop(0)
+    doc = corpus.generate(1, 0, 49500, 50500)
+    payload = serialize_record(extract_markdown_record(doc.text))
+    out = tmp_path / "record.json"
+    tracemalloc.start()
+    try:
+        cli._write_json(str(out), payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = out.stat().st_size
+    assert size > 500_000
+    assert peak < size
