@@ -27,7 +27,7 @@ from .issues import LAYER_STRUCTURAL, ValidationIssue, issue_error
 from .merge import EmptyMergeError, merge_chunk_results, resolve_cross_references
 from .metrics import WeightVector, compute_metrics, detect_step_headings, render_metrics_table
 from .mock_backend import MockBackend
-from .schema import serialize_record
+from .schema import json_key, json_pieces, serialize_record
 from .validation import NO_STEPS_EXTRACTED, ValidationReport, read_record_text, validate_record
 
 logger = logging.getLogger(__name__)
@@ -132,11 +132,9 @@ class WriteError(Exception):
 def _dump_json(value: Any, write: Callable[[str], object], pad: str = "", depth: int = 2) -> None:
     """Write ``json.dumps(value, indent=2, ensure_ascii=False)`` in pieces: the
     containers in the top ``depth`` levels are written one entry at a time, so
-    only one entry's text is held at once. An entry's text is re-indented by
-    padding each newline in it; this is exact because the encoder escapes every
-    control character inside a string, so each raw newline is a line break."""
+    only one entry's text is held at once."""
     if depth == 0 or not isinstance(value, (dict, list)) or not value:
-        write(json.dumps(value, indent=2, ensure_ascii=False).replace("\n", "\n" + pad))
+        write("".join(json_pieces(value, [], pad)))
         return
     inner = pad + "  "
     is_dict = isinstance(value, dict)
@@ -145,7 +143,7 @@ def _dump_json(value: Any, write: Callable[[str], object], pad: str = "", depth:
         write(",\n" + inner if i else "\n" + inner)
         if is_dict:
             key, entry = entry
-            write(json.dumps(key, ensure_ascii=False) + ": ")
+            write(json_key(key) + ": ")
         _dump_json(entry, write, inner, depth - 1)
     write("\n" + pad + ("}" if is_dict else "]"))
 

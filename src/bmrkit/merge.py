@@ -9,7 +9,9 @@ against the assembled record.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from .issues import (
@@ -87,10 +89,11 @@ def merge_chunk_results(
     """Concatenate chunk records in order after global renumbering.
 
     The chunk records are consumed: each is renumbered in place, and its
-    groups, phases, steps and header fields become the merged record's.
-    Header fields take the first non-null value across chunks; later
-    conflicting values are kept out and flagged. Failed chunks contribute a
-    CHUNK_MISSING issue. Raises EmptyMergeError when nothing merged.
+    groups, phases, steps, header fields and undeclared members become the
+    merged record's. Each header field takes its first non-null value across
+    chunks, each undeclared member its first value; later conflicting values
+    are kept out and flagged. Failed chunks contribute a CHUNK_MISSING issue.
+    Raises EmptyMergeError when nothing merged.
     """
     issues: list[ValidationIssue] = []
     merged = BmrRecord.empty()
@@ -114,6 +117,7 @@ def merge_chunk_results(
         merged.groups.extend(record.groups)
         merged.phases.extend(record.phases)
         merged.steps.extend(record.steps)
+        conflicts = []  # (path, kept value, this chunk's value)
         for key in HEADER_KEYS:
             incoming = getattr(record.header, key)
             current = getattr(merged.header, key)
@@ -122,15 +126,19 @@ def merge_chunk_results(
             if current.value is None:
                 setattr(merged.header, key, incoming)
             elif current.value != incoming.value:
-                issues.append(
-                    issue_warning(
-                        LAYER_STRUCTURAL,
-                        f"header.{key}",
-                        HEADER_CONFLICT,
-                        f"kept {current.value!r}, chunk {result.index} "
-                        f"also provided {incoming.value!r}",
-                    )
-                )
+                conflicts.append((f"header.{key}", current.value, incoming.value))
+        for prefix, kept, extra in (
+            ("header.", merged.header.extra, record.header.extra),
+            ("", merged.extra, record.extra),
+        ):
+            for key, value in extra.items():
+                if key not in kept:
+                    kept[key] = value
+                elif kept[key] != value:
+                    conflicts.append((prefix + key, kept[key], value))
+        for path, first, other in conflicts:
+            message = f"kept {first!r}, chunk {result.index} also provided {other!r}"
+            issues.append(issue_warning(LAYER_STRUCTURAL, path, HEADER_CONFLICT, message))
 
     if not merged_any:
         raise EmptyMergeError("no chunk produced a record")
@@ -186,24 +194,33 @@ def resolve_cross_references(
     codes and "as per above" style notes among them, are returned unresolved.
     """
     targets: dict[str, dict[int, str]] = {"image": {}, "table": {}, "step": {}}
+    texts, owners = [], []  # each content text or item, and its content and path
     for i, step in enumerate(record.steps):
         if id_suffix(step.id) > 0:
             targets["step"][id_suffix(step.id)] = f"steps[{i}]"
         for j, content in enumerate(step.content):
+            path = f"steps[{i}].content[{j}]"
             if content.kind in ("image", "table"):
                 by_ordinal = targets[content.kind]
-                by_ordinal[len(by_ordinal) + 1] = f"steps[{i}].content[{j}]"
+                by_ordinal[len(by_ordinal) + 1] = path
+            texts += [content.text, *(content.items or [])]
+            owners += [(content, path)] * (len(texts) - len(owners))
 
+    # The texts are scanned at once, joined by NULs: no rule can match a NUL,
+    # and each rule's edge tests read one as they read the end of a string.
+    # Sorting by (text, rule, start) gives the order of one scan per text.
+    starts = list(accumulate((len(text) + 1 for text in texts), initial=0))
+    joined = "\x00".join(texts)
     refs: list[CrossReference] = []
-    for i, step in enumerate(record.steps):
-        for j, content in enumerate(step.content):
-            path = f"steps[{i}].content[{j}]"
-            for text in [content.text, *(content.items or [])]:
-                for rx, kind in REFERENCE_RULES:
-                    for m in rx.finditer(text):
-                        target = kind and targets[kind].get(int(m.group(1)))
-                        # Only a note match can end in whitespace; its ref drops it.
-                        refs.append(_annotate(content, path, m.group(0).strip(), target))
+    for t, r, _, m in sorted(
+        (bisect_right(starts, m.start()) - 1, r, m.start(), m)
+        for r, (rx, _) in enumerate(REFERENCE_RULES)
+        for m in rx.finditer(joined)
+    ):
+        kind = REFERENCE_RULES[r][1]
+        target = kind and targets[kind].get(int(m.group(1)))
+        # Only a note match can end in whitespace; its ref drops it.
+        refs.append(_annotate(*owners[t], m.group(0).strip(), target))
     return record, refs
 
 

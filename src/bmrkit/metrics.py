@@ -61,18 +61,17 @@ _GUARD = "\uf8ff"
 _NUMBER_DOT_RE = re.compile(r"(?<=\d)\.(?=\d)")
 _TOKEN_RE = re.compile("[a-z0-9" + _GUARD + "]+")
 
-_BOILERPLATE_RES = (
-    re.compile(r"page\s+\d+\s+of\s+\d+", re.IGNORECASE),
-    re.compile(r"performed\s+by", re.IGNORECASE),
-    re.compile(r"date:\s*_+", re.IGNORECASE),
+# A leading lookahead lets each scan skip positions no match can start at.
+_BOILERPLATE_RE = re.compile(
+    r"(?=[pPdD])(?:page\s+\d+\s+of\s+\d+|performed\s+by|date:\s*_+)", re.IGNORECASE
 )
 
-_CONDITIONAL_RE = re.compile(r"\b(if|when|unless|otherwise)\b", re.IGNORECASE)
+_CONDITIONAL_RE = re.compile(r"(?=[iwuoIWUO])\b(if|when|unless|otherwise)\b", re.IGNORECASE)
 _CONDITIONAL_KINDS = {"instruction", "note", "warning", "paragraph"}
 
 # Longer alternatives first so e.g. "minutes" is not eaten as "min".
 _UNIT_RE = re.compile(
-    r"(?<![\w.])(\d+(?:\.\d+)?)\s*"
+    r"(?=\d)(?<![\w.])(\d+(?:\.\d+)?)\s*"
     r"(mcg|mg|kg|mL|ml|rpm|minutes|min|hours|mesh|°C|%|L|g|C)"
     r"(?![A-Za-z0-9])"
 )
@@ -300,7 +299,7 @@ class SourceIndex:
     def sentences(self) -> list[_Sentence]:
         return [
             _Sentence(
-                boilerplate=any(rx.search(sentence) for rx in _BOILERPLATE_RES),
+                boilerplate=_BOILERPLATE_RE.search(sentence) is not None,
                 words=words,
                 keywords=tuple({m.group(1).lower() for m in _CONDITIONAL_RE.finditer(sentence)}),
             )
@@ -610,11 +609,9 @@ def detect_unit_pairs(text: str) -> list[tuple[str, str]]:
 
 
 def _record_unit_pairs(record: BmrRecord) -> set[tuple[str, str]]:
-    """The pairs inside each string, and the value and unit of each form
-    field, calculation variable and calculation result."""
-    pairs: set[tuple[str, str]] = set()
-    for text in iter_record_strings(record):
-        pairs.update(detect_unit_pairs(text))
+    """The pairs inside each string, scanned joined by NULs (string ends to the
+    pattern), and the value and unit of each form field, variable and result."""
+    pairs = set(detect_unit_pairs("\x00".join(iter_record_strings(record))))
     for content in _iter_contents(record):
         slots = list(content.fields or [])
         calc = content.calculation

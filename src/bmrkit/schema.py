@@ -9,9 +9,11 @@ opaquely and re-emitted so nothing a backend produced is destroyed.
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, field as dc_field, fields as dc_fields
 from functools import cache
+from json.encoder import encode_basestring
 from types import UnionType
 from typing import Any, Callable, Union, get_args, get_origin, get_type_hints
 
@@ -336,6 +338,51 @@ def _as_json(value: Any) -> Any:
 
 def serialize_record(record: BmrRecord) -> dict:
     return _as_json(record)
+
+
+def json_key(key: Any) -> str:
+    """An object key's text as ``json.dumps`` writes it: a number or literal is quoted."""
+    return encode_basestring(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4]
+
+
+def json_pieces(value: Any, pieces: list[str], pad: str = "") -> list[str]:
+    """Append to ``pieces``, and return it, the text of ``json.dumps(value,
+    indent=2, ensure_ascii=False)`` with ``pad`` after each line break, in one
+    recursive walk: with ``indent`` set, ``json`` passes each piece up through
+    a generator per nesting level. Any scalar but a string, null, a boolean or
+    an exact int is written by ``json.dumps``, the same with or without indent."""
+    if type(value) is str:
+        pieces.append(encode_basestring(value))
+    elif value is None or value is True or value is False:
+        pieces.append("null" if value is None else "true" if value else "false")
+    elif type(value) is int:
+        pieces.append(int.__repr__(value))
+    elif isinstance(value, dict):
+        inner = pad + "  "
+        separator = "{\n" + inner
+        for key, entry in value.items():
+            key = encode_basestring(key) if type(key) is str else json_key(key)
+            if type(entry) is str:
+                pieces.append(f"{separator}{key}: {encode_basestring(entry)}")
+            else:
+                pieces.append(f"{separator}{key}: ")
+                json_pieces(entry, pieces, inner)
+            separator = ",\n" + inner
+        pieces.append("\n" + pad + "}" if value else "{}")
+    elif isinstance(value, (list, tuple)):
+        inner = pad + "  "
+        separator = "[\n" + inner
+        for entry in value:
+            if type(entry) is str:
+                pieces.append(separator + encode_basestring(entry))
+            else:
+                pieces.append(separator)
+                json_pieces(entry, pieces, inner)
+            separator = ",\n" + inner
+        pieces.append("\n" + pad + "]" if value else "[]")
+    else:
+        pieces.append(json.dumps(value, ensure_ascii=False))
+    return pieces
 
 
 # --------------------------------------------------------------------------

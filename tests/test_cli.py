@@ -11,10 +11,12 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import bmrkit.cli as cli
 import bmrkit.validation as validation
+from bmrkit.chunker import Chunk
 from bmrkit.cli import main
+from bmrkit.extraction import build_prompt
 from bmrkit.mock_backend import MockBackend
 from bmrkit.mock_backend import extract_markdown_record
-from bmrkit.schema import parse_record, serialize_record
+from bmrkit.schema import json_pieces, parse_record, serialize_record
 from bmrkit.validation import validate_all
 
 from conftest import (
@@ -590,25 +592,46 @@ def test_failed_write_exits_2_naming_the_path(tmp_path, capsys):
 
 
 # --------------------------------------------------------------------------
-# The streamed JSON writer
+# The JSON encoder and the streamed writer
 
-json_text = st.text(max_size=12) | st.sampled_from(
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+json_strings = st.text(max_size=12) | st.sampled_from(
     ["", "\u2028", "line\nbreak", "tab\there", "\r\n", "é\u00a0漢字", '"quoted\\"', "\x00\x1f"]
 )
 json_scalars = (
-    st.none() | st.booleans() | st.integers() | st.floats() | json_text
-    | st.sampled_from([5.0, -0.0, 1e16, 1e-7, 2**64])
+    st.none() | st.booleans() | st.integers() | st.floats() | json_strings
+    | st.sampled_from([5.0, -0.0, 1e16, 1e-7, 2**64, _Str("sub\nclass é"), _Int(7), _Float(2.5)])
 )
+# Keys json.dumps converts: numbers, booleans and null are written quoted.
+json_keys = json_strings | st.integers() | st.floats() | st.booleans() | st.none() | st.just(_Str("k"))
 json_values = st.recursive(
     json_scalars,
-    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(json_text, inner, max_size=4),
+    lambda inner: (
+        st.lists(inner, max_size=4) | st.lists(inner, max_size=2).map(tuple)
+        | st.dictionaries(json_keys, inner, max_size=4)
+    ),
     max_leaves=25,
 )
-top_level = st.lists(json_values, max_size=5) | st.dictionaries(json_text, json_values, max_size=5)
+top_level = st.lists(json_values, max_size=5) | st.dictionaries(json_keys, json_values, max_size=5)
 
 
 def assert_written_as_json_dumps(path, value):
     expected = json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+    assert "".join(json_pieces(value, [])) + "\n" == expected
+    # Every raw newline of the text is a line break: strings escape theirs.
+    assert "".join(json_pieces(value, [], "    ")) == expected[:-1].replace("\n", "\n    ")
     cli._write_json(str(path), value)
     assert path.read_bytes() == expected.encode("utf-8")
     with contextlib.redirect_stdout(io.StringIO()) as stdout:
@@ -622,7 +645,13 @@ def test_write_json_matches_json_dumps(tmp_path, value):
     assert_written_as_json_dumps(tmp_path / "out.json", value)
 
 
-extra_members = st.dictionaries(json_text.map(lambda key: "x_" + key), json_values, max_size=3)
+@settings(max_examples=300, deadline=None)
+@given(json_values)
+def test_json_pieces_match_json_dumps_on_any_value(value):
+    assert "".join(json_pieces(value, [])) == json.dumps(value, indent=2, ensure_ascii=False)
+
+
+extra_members = st.dictionaries(json_strings.map(lambda key: "x_" + key), json_values, max_size=3)
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -672,3 +701,50 @@ def test_write_json_peak_memory_is_below_the_output_size(tmp_path):
     size = out.stat().st_size
     assert size > 500_000
     assert peak < size
+
+
+def _perfbench_corpus():
+    sys.path.insert(0, str(DATA_DIR.parents[1] / "perfbench"))
+    try:
+        import corpus
+    finally:
+        sys.path.pop(0)
+    return corpus
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "sample_bmr.md", "generated_bmr.md", "period_free_bmr.md",
+        # One seed-1 corpus document of each perfbench workload's size.
+        pytest.param((1000, 3000), id="mock-small"),
+        pytest.param((11000, 13000), id="http-latency"),
+        pytest.param((49500, 50500), id="mock-large"),
+    ],
+)
+def test_mock_reply_is_the_record_as_json_dumps(source):
+    """perfbench's stub server sends this reply and sets its simulated model
+    delay per character of it, so the bytes must not move."""
+    if isinstance(source, str):
+        text = (DATA_DIR / source).read_text(encoding="utf-8")
+    else:
+        text = _perfbench_corpus().generate(1, 0, *source).text
+    prompt = build_prompt(Chunk(index=0, text=text, token_count=0), 1)
+    payload = serialize_record(extract_markdown_record(text))
+    expected = "<json>\n" + json.dumps(payload, indent=2, ensure_ascii=False) + "\n</json>"
+    assert MockBackend().complete(prompt, "bmr-extractor", {}) == expected
+
+
+def test_process_keeps_undeclared_members_of_every_level(tmp_path, monkeypatch):
+    reply = clean_record_json()
+    reply["x_top"] = {"kept": [1, "a"]}
+    reply["header"]["x_head"] = "header note"
+    reply["steps"][0]["x_step"] = 3
+    monkeypatch.setattr(cli, "_make_backend", lambda cfg: ScriptedBackend([wrap_json(reply)]))
+    out = tmp_path / "record.json"
+    run(["process", SAMPLE_BMR, "--out", out, "--report-out", tmp_path / "v.json",
+         "--metrics-out", tmp_path / "m.json"])
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record["x_top"] == {"kept": [1, "a"]}
+    assert record["header"]["x_head"] == "header note"
+    assert record["steps"][0]["x_step"] == 3

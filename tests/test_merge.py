@@ -3,7 +3,7 @@ from __future__ import annotations
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bmrkit import merge
 from bmrkit.extraction import ChunkResult
@@ -122,6 +122,19 @@ def test_header_conflict_keeps_first_and_warns():
     assert merged.header.name.value == "Batch A"
     conflict = [i for i in issues if i.code == HEADER_CONFLICT]
     assert len(conflict) == 1 and conflict[0].severity == "warning"
+
+
+def test_undeclared_members_take_the_first_chunks_value():
+    first = _record(x_top="a", **{"header/x_head": 1})
+    second = _record(x_top="b", x_only_second=[2], **{"header/x_head": 1})
+    merged, issues = merge_chunk_results([_ok(0, first), _ok(1, second)])
+    assert merged.extra == {"x_top": "a", "x_only_second": [2]}
+    assert merged.header.extra == {"x_head": 1}
+    conflict = [(i.path, i.severity) for i in issues if i.code == HEADER_CONFLICT]
+    assert conflict == [("x_top", "warning")]
+    third = _record(**{"header/x_head": 2})
+    _, issues = merge_chunk_results([_ok(0, _record(**{"header/x_head": 1})), _ok(1, third)])
+    assert [i.path for i in issues if i.code == HEADER_CONFLICT] == ["header.x_head"]
 
 
 def test_failed_chunk_yields_chunk_missing():
@@ -389,7 +402,7 @@ _ref_texts = st.lists(_ref_pieces, max_size=6).map(" ".join)
 
 
 @st.composite
-def referring_records(draw) -> dict:
+def referring_records(draw, texts=_ref_texts) -> dict:
     value = clean_record_json()
     template = value["steps"][0]
     value["steps"] = []
@@ -397,11 +410,11 @@ def referring_records(draw) -> dict:
         content = []
         kinds = st.sampled_from(("image", "table", "note", "bullet_list"))
         for kind in draw(st.lists(kinds, max_size=4)):
-            block = {"type": kind, "text": draw(_ref_texts)}
+            block = {"type": kind, "text": draw(texts)}
             if kind == "table":
                 block.update(headers=["a"], rows=[["1"]])
             elif kind == "bullet_list":
-                block["items"] = draw(st.lists(_ref_texts, max_size=3))
+                block["items"] = draw(st.lists(texts, max_size=3))
             elif kind == "note" and draw(st.booleans()):
                 block["link"] = {"link_text": "kept", "url": "https://x"}
             content.append(block)
@@ -428,3 +441,60 @@ def test_reference_rules_match_the_hand_written_loops(value):
         for content in step.content:
             for text in [content.text, *(content.items or [])]:
                 assert detect_reference_texts(text) == oracle_detect_reference_texts(text)
+
+
+# --------------------------------------------------------------------------
+# The joined scan of resolve_cross_references against one scan per text and
+# rule, frozen here as the reference.
+
+
+def oracle_resolve_per_text(record: BmrRecord):
+    targets: dict = {"image": {}, "table": {}, "step": {}}
+    for i, step in enumerate(record.steps):
+        if id_suffix(step.id) > 0:
+            targets["step"][id_suffix(step.id)] = f"steps[{i}]"
+        for j, content in enumerate(step.content):
+            if content.kind in ("image", "table"):
+                by_ordinal = targets[content.kind]
+                by_ordinal[len(by_ordinal) + 1] = f"steps[{i}].content[{j}]"
+    refs: list[CrossReference] = []
+    for i, step in enumerate(record.steps):
+        for j, content in enumerate(step.content):
+            path = f"steps[{i}].content[{j}]"
+            for text in [content.text, *(content.items or [])]:
+                for rx, kind in merge.REFERENCE_RULES:
+                    for m in rx.finditer(text):
+                        target = kind and targets[kind].get(int(m.group(1)))
+                        refs.append(_oracle_annotate(content, path, m.group(0).strip(), target))
+    return record, refs
+
+
+# Pieces joined with nothing between them, so codes, phrases and NULs sit at
+# string edges and against each other; empty texts and items come from empty
+# piece lists.
+_edge_pieces = st.sampled_from(
+    (
+        "See Figure 1", "see figure 2", "Refer to Table 1", "see table 3", "See step 2",
+        "see step 9", "SOP-1234", "QA-00017", "WI-12345-", "as per above",
+        "As per the above procedure ", "\x00", "", " ", "\n", "x", "_", "1", "-",
+    )
+)
+_edge_texts = st.lists(_edge_pieces, max_size=5).map("".join)
+
+_NOTE_THEN_STEP = clean_record_json()
+_NOTE_THEN_STEP["steps"][1]["content"] = [
+    {"type": "bullet_list", "text": "", "items": ["Dry as per above", "see step 1", ""]},
+    {"type": "note", "text": "SOP-1234\x00See Figure 1\x00"},
+]
+
+
+@settings(max_examples=300, deadline=None)
+@example(_NOTE_THEN_STEP)
+@given(referring_records(_edge_texts))
+def test_joined_reference_scan_matches_one_scan_per_text(value):
+    got_record, got = resolve_cross_references(_parsed(value))
+    want_record, want = oracle_resolve_per_text(_parsed(value))
+    assert got == want
+    assert [[c.link for c in s.content] for s in got_record.steps] == [
+        [c.link for c in s.content] for s in want_record.steps
+    ]
