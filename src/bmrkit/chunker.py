@@ -51,15 +51,6 @@ class Chunk:
     token_count: int
 
 
-def split_sentences(text: str) -> list[str]:
-    """Split at whitespace runs that follow '.', '!' or '?'.
-
-    The delimiting whitespace is consumed; terminal punctuation stays with its
-    sentence; empty segments are dropped.
-    """
-    return [seg for seg in SENTENCE_BOUNDARY.split(text) if seg]
-
-
 def count_tokens(text: str, tok: Tokenizer) -> int:
     return len(tok.encode(text))
 

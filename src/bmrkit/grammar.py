@@ -1,15 +1,17 @@
 """The markdown line grammar of fixture-convention batch records.
 
 The rule-based extraction double (``mock_backend``) and the metric detectors
-(``metrics``) read source lines through these rules, so the double extracts
+(``metrics``) walk source lines with ``read_blocks``, so the double extracts
 what the detectors count: form bullets (``- Label: value``, with blanks, units
-and limits), calculation blocks, and pipe tables. Step and calculation
-headings keep one rule per side, set side by side below.
+and limits), calculation blocks, and pipe tables, and a line inside a block is
+hidden from both. Step and calculation headings keep one rule per side, set
+side by side below.
 """
 
 from __future__ import annotations
 
 import re
+from typing import Iterator
 
 from .ingest import IMAGE_MARKER_OPEN
 from .schema import CalcResult, Calculation, FormField, Variable
@@ -157,3 +159,23 @@ def read_table(lines: list[str], i: int) -> tuple[list[str], list[list[str]], in
         rows.append(table_cells(lines[i]))
         i += 1
     return headers, rows, i
+
+
+def read_blocks(lines: list[str], calc_title: re.Pattern) -> Iterator[tuple]:
+    """Each line of ``lines`` in order, with calculation blocks and pipe
+    tables read whole: ``("calculation", title match or None, Calculation)``
+    for a block, which opens at a ``calc_title`` line (read from the next
+    line) or at a bare ``Formula:`` line; ``("table", headers, rows)`` for a
+    table; ``("line", line, None)`` for any other line."""
+    i = 0
+    while i < len(lines):
+        title = calc_title.match(lines[i])
+        if title or FORMULA_RE.match(lines[i]):
+            calculation, i = read_calculation(lines, i + 1 if title else i)
+            yield "calculation", title, calculation
+        elif table_start(lines, i):
+            headers, rows, i = read_table(lines, i)
+            yield "table", headers, rows
+        else:
+            yield "line", lines[i], None
+            i += 1

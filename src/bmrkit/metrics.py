@@ -6,12 +6,15 @@ number/unit pairs, pipe tables, and image markers. The detectors double as the
 metric denominators, so their rules are part of this module's contract and are
 deliberately spelled out in the docstrings below. The line rules they share
 with the extraction double (form bullets, calculation blocks, pipe tables) are
-defined once, in ``grammar``. All metrics return a percentage in [0, 100] and
-degrade to 100 when the source contains nothing to preserve.
+defined once, in ``grammar``: ``scan_source_blocks`` finds calculations, form
+lines and tables in one walk of ``grammar.read_blocks``, the walk the double
+extracts with. All metrics return a percentage in [0, 100] and degrade to 100
+when the source contains nothing to preserve.
 
 Scoring builds what several metrics read once per call, in two indexes. A
 ``SourceIndex`` holds the source's word set and sentences, each sentence with
-its boilerplate flag, canonical word set and conditional keywords; a
+its boilerplate flag, canonical word set and conditional keywords, and the
+line blocks of ``scan_source_blocks``; a
 ``RecordIndex`` holds the record's prose strings and word set, one canonical
 word set per content unit, and the parent-link count that two structural
 metrics share. Each part is computed on first use, and each text is tokenized
@@ -36,17 +39,8 @@ from functools import cached_property
 from itertools import repeat
 from typing import Any, Iterator, NamedTuple
 
-from .chunker import split_sentences
-from .grammar import (
-    BULLET_RE,
-    CALC_HEADER_RE,
-    FORMULA_RE,
-    STEP_HEADING_RE,
-    parse_form_body,
-    read_calculation,
-    read_table,
-    table_start,
-)
+from .chunker import SENTENCE_BOUNDARY
+from .grammar import BULLET_RE, CALC_HEADER_RE, STEP_HEADING_RE, parse_form_body, read_blocks
 from .ingest import SourceDocument, scan_image_markers
 from .merge import CrossReference, detect_reference_texts
 from .schema import BmrRecord, Content, FormField, HEADER_KEYS
@@ -139,6 +133,15 @@ def _canon_number(raw: Any) -> str | None:
 
 def _canon_unit(unit: str) -> str:
     return unit.lower()
+
+
+def split_sentences(text: str) -> list[str]:
+    """Split at whitespace runs that follow '.', '!' or '?'.
+
+    The delimiting whitespace is consumed; terminal punctuation stays with its
+    sentence; empty segments are dropped.
+    """
+    return [seg for seg in SENTENCE_BOUNDARY.split(text) if seg]
 
 
 # --------------------------------------------------------------------------
@@ -278,8 +281,8 @@ class _UnitMatcher:
 
 
 class SourceIndex:
-    """The words and sentences of one source document, built on first use and
-    kept for the coverage metrics."""
+    """The words, sentences and line blocks of one source document, each
+    built on first use and kept for the metrics that read it."""
 
     def __init__(self, source: SourceDocument, tokenizer: _Tokenizer | None = None) -> None:
         self.text = source.text
@@ -305,6 +308,11 @@ class SourceIndex:
             )
             for sentence, words in self.tokenized[1]
         ]
+
+    @cached_property
+    def blocks(self) -> tuple[list[tuple[str, list[str]]], list[FormField], list[list[str]]]:
+        """The calculations, form lines and tables of ``scan_source_blocks``."""
+        return scan_source_blocks(self.text)
 
 
 class RecordIndex:
@@ -536,38 +544,66 @@ def _norm_formula(formula: str) -> str:
     return " ".join(formula.split())
 
 
-def detect_source_calculations(text: str) -> list[tuple[str, list[str]]]:
-    """(formula, variable names) blocks introduced by a calculation header or
-    a bare 'Formula:' line; variable bullets follow a 'Variables:' line and
-    run to the first line that is no bullet. A block ends at a blank line or a
-    heading ('#' heading or '**Step N'); its last 'Formula:' line counts."""
-    blocks: list[tuple[str, list[str]]] = []
-    lines = text.split("\n")
-    i = 0
-    while i < len(lines):
-        if CALC_HEADER_RE.match(lines[i]) or FORMULA_RE.match(lines[i]):
-            calc, i = read_calculation(lines, i)
-            if calc.formula:
-                blocks.append((calc.formula, [v.name for v in calc.variables]))
-        else:
-            i += 1
-    return blocks
+def scan_source_blocks(
+    text: str,
+) -> tuple[list[tuple[str, list[str]]], list[FormField], list[list[str]]]:
+    """(calculations, form lines, tables) of one walk of the source lines with
+    ``grammar.read_blocks``, calculation headers read by the loose rule.
+
+    A calculation is (formula, variable names) of a block opened by a
+    calculation header or a bare 'Formula:' line, kept when it has a formula;
+    variable bullets follow a 'Variables:' line and run to the first line that
+    is no bullet. A block ends at a blank line or a heading ('#' heading or
+    '**Step N'); its last 'Formula:' line counts. A table is the header cells
+    of a line that starts and ends with a pipe, then a separator row.
+
+    Form lines are fill-in bullets inside step bodies ('- Label: value').
+    Signature boilerplate is skipped, as are action bullets whose 'label' is
+    really an imperative instruction, image markers and blank labels. A '___'
+    run or an empty value is a blank (value None); a value like '5 mg +/- 1'
+    splits into number, unit and limits. Lines inside a calculation block or
+    a table are read with it, so a variable listing is no form line and a
+    table in calculation notes is no table.
+    """
+    calculations: list[tuple[str, list[str]]] = []
+    form_lines: list[FormField] = []
+    tables: list[list[str]] = []
+    in_step_body = False
+    for kind, head, body in read_blocks(text.split("\n"), CALC_HEADER_RE):
+        if kind == "calculation":
+            if body.formula:
+                calculations.append((body.formula, [v.name for v in body.variables]))
+        elif kind == "table":
+            tables.append(head)
+        elif STEP_HEADING_RE.match(head):
+            in_step_body = True
+        elif _MD_HEADING_RE.match(head):
+            in_step_body = False
+        elif in_step_body and (bullet := BULLET_RE.match(head)):
+            form_field = parse_form_body(bullet.group(1).strip())
+            if form_field is not None:
+                form_lines.append(form_field)
+    return calculations, form_lines, tables
 
 
 def calculation_fidelity(source: SourceDocument, record: BmrRecord) -> float:
     """A source calculation is preserved when some calculation content matches
     its formula after normalization (whitespace collapsed, multiplication sign
     unified) and carries at least its listed variable names."""
-    detected = detect_source_calculations(source.text)
+    return _calculation_fidelity(SourceIndex(source), RecordIndex(record))
+
+
+def _calculation_fidelity(src: SourceIndex, rec: RecordIndex) -> float:
+    detected = src.blocks[0]
     if not detected:
         return 100.0
-    text_key = _Tokenizer().key
+    text_key = rec.tokenizer.key
     record_calcs = [
         (
             _norm_formula(c.calculation.formula),
             {text_key(v.name) for v in c.calculation.variables},
         )
-        for c in _iter_contents(record)
+        for c in _iter_contents(rec.record)
         if c.calculation is not None
     ]
     preserved = 0
@@ -638,47 +674,21 @@ def unit_fidelity(source: SourceDocument, record: BmrRecord) -> float:
     return 100.0 * preserved / len(detected)
 
 
-def detect_form_lines(text: str) -> list[FormField]:
-    """Fill-in form bullets inside step bodies ('- Label: value').
-
-    Signature boilerplate is skipped, as are action bullets whose 'label' is
-    really an imperative instruction, image markers and blank labels. Bullets
-    inside calculation blocks are variable listings, not form entries, and are
-    skipped too. A '___' run or an empty value is a blank (value None); a
-    value like '5 mg +/- 1' splits into number, unit and limits.
-    """
-    lines = text.split("\n")
-    out: list[FormField] = []
-    in_step_body = False
-    i = 0
-    while i < len(lines):
-        line = lines[i]
-        if CALC_HEADER_RE.match(line):
-            _, i = read_calculation(lines, i + 1)
-            continue
-        i += 1
-        if STEP_HEADING_RE.match(line):
-            in_step_body = True
-        elif _MD_HEADING_RE.match(line):
-            in_step_body = False
-        elif in_step_body and (bullet := BULLET_RE.match(line)):
-            form_field = parse_form_body(bullet.group(1).strip())
-            if form_field is not None:
-                out.append(form_field)
-    return out
-
-
 def field_accuracy(source: SourceDocument, record: BmrRecord) -> float:
     """A source form line is captured when a form field matches its label and,
     when the line had a concrete value, the same normalized value. A blank in
     the source corresponds to a null field value."""
-    detected = detect_form_lines(source.text)
+    return _field_accuracy(SourceIndex(source), RecordIndex(record))
+
+
+def _field_accuracy(src: SourceIndex, rec: RecordIndex) -> float:
+    detected = src.blocks[1]
     if not detected:
         return 100.0
     # Canonical values by label key; None stands for a blank.
-    text_key = _Tokenizer().key
+    text_key = rec.tokenizer.key
     values_by_label: dict[str, set[str | None]] = {}
-    for content in _iter_contents(record):
+    for content in _iter_contents(rec.record):
         for form_field in content.fields or []:
             values_by_label.setdefault(text_key(form_field.label), set()).add(
                 _canon_value(form_field.value)
@@ -695,31 +705,20 @@ def field_accuracy(source: SourceDocument, record: BmrRecord) -> float:
 # Table / image preservation
 
 
-def detect_source_tables(text: str) -> list[list[str]]:
-    """Header cell lists of markdown pipe tables: a line that starts and ends
-    with a pipe, then a separator row."""
-    tables: list[list[str]] = []
-    lines = text.split("\n")
-    i = 0
-    while i < len(lines):
-        if table_start(lines, i):
-            headers, _, i = read_table(lines, i)
-            tables.append(headers)
-        else:
-            i += 1
-    return tables
-
-
 def table_preservation(source: SourceDocument, record: BmrRecord) -> float:
     """A source table is preserved when all of its header cells appear in some
     table content's headers."""
-    source_tables = detect_source_tables(source.text)
+    return _table_preservation(SourceIndex(source), RecordIndex(record))
+
+
+def _table_preservation(src: SourceIndex, rec: RecordIndex) -> float:
+    source_tables = src.blocks[2]
     if not source_tables:
         return 100.0
-    text_key = _Tokenizer().key
+    text_key = rec.tokenizer.key
     record_headers = [
         {text_key(h) for h in c.headers or []}
-        for c in _iter_contents(record)
+        for c in _iter_contents(rec.record)
         if c.kind == "table"
     ]
     preserved = 0
@@ -849,11 +848,11 @@ def compute_metrics(
         hierarchy_preservation=_hierarchy_preservation(rec),
         sequence_preservation=sequence_preservation(source, record),
         cross_reference_integrity=_cross_reference_integrity(rec),
-        calculation_fidelity=calculation_fidelity(source, record),
+        calculation_fidelity=_calculation_fidelity(src, rec),
         conditional_logic_fidelity=_conditional_logic_fidelity(src, rec),
         unit_fidelity=unit_fidelity(source, record),
-        field_accuracy=field_accuracy(source, record),
-        table_preservation=table_preservation(source, record),
+        field_accuracy=_field_accuracy(src, rec),
+        table_preservation=_table_preservation(src, rec),
         image_preservation=image_preservation(source, record),
         unique_step_types=unique_step_types(record),
         processing_seconds=processing_seconds,

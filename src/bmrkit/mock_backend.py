@@ -5,9 +5,10 @@ bold header lines fill the header, second-level headings open groups,
 "Phase N:" headings open phases, "**Step N:**" lines open steps, and bullets
 become form fields, lists, instructions, or image content. Content that
 appears before the first step (binder pages, equipment tables) is carried
-forward and attached to that step so nothing is dropped. Form bullets,
-calculation blocks and pipe tables are read by the rules in ``grammar``, which
-the metric detectors apply too.
+forward and attached to that step. A text with no step heading has no step to
+attach it to, and its content is dropped from the record. The lines are walked
+with ``grammar.read_blocks``, which reads calculation blocks and pipe tables
+whole, as the metric detectors read them.
 """
 
 from __future__ import annotations
@@ -15,16 +16,7 @@ from __future__ import annotations
 import re
 
 from .grammar import (
-    BOILERPLATE_LABEL_RE,
-    BULLET_RE,
-    CALC_RE,
-    FORMULA_RE,
-    STEP_RE,
-    parse_form_body,
-    read_calculation,
-    read_table,
-    split_label,
-    table_start,
+    BOILERPLATE_LABEL_RE, BULLET_RE, CALC_RE, STEP_RE, parse_form_body, read_blocks, split_label,
 )
 from .ingest import IMAGE_MARKER_OPEN
 from .schema import (
@@ -187,71 +179,37 @@ def _parse_bullet(builder: _RecordBuilder, body: str) -> None:
 def extract_markdown_record(text: str) -> BmrRecord:
     """Map fixture-convention markdown to a record without any model call."""
     builder = _RecordBuilder()
-    lines = _join_image_marker_lines(text.split("\n"))
-    i = 0
-    while i < len(lines):
-        line = lines[i]
-        if not line.strip():
-            builder.flush_runs()
-            i += 1
-            continue
-
-        calc_title = CALC_RE.match(line)
-        # A bare "Formula:" line opens an untitled block, as the detector reads it.
-        if calc_title or FORMULA_RE.match(line):
-            name = calc_title.group(1).strip() if calc_title else ""
-            calculation, i = read_calculation(lines, i + 1 if calc_title else i)
-            title = f"{name} Calculation".lstrip()
-            builder.emit(Content(kind="calculation", text=title, calculation=calculation))
-            continue
-        step = STEP_RE.match(line)
-        if step:
-            builder.open_step(step.group(2))
-            i += 1
-            continue
-        meta = _BOLD_META_RE.match(line)
-        if meta:
-            key = meta.group(1).strip().lower()
-            if key in _HEADER_META_KEYS:
-                getattr(builder.header, _HEADER_META_KEYS[key]).value = meta.group(2).strip()
-                i += 1
-                continue
-        h3 = _H3_RE.match(line)
-        if h3:
-            builder.flush_runs()
-            name = h3.group(1) or h3.group(2)
-            builder.open_phase(name)
-            builder.section_heading = name
-            i += 1
-            continue
-        h2 = _H2_RE.match(line)
-        if h2:
-            builder.flush_runs()
-            heading = h2.group(1)
-            builder.pending_group_name = heading.split()[0].title()
-            builder.section_heading = heading
-            i += 1
-            continue
-        h1 = _H1_RE.match(line)
-        if h1:
-            builder.fallback_name = h1.group(1)
-            builder.section_heading = h1.group(1)
-            i += 1
-            continue
-        if table_start(lines, i):
-            headers, rows, i = read_table(lines, i)
-            rows = [(row + [""] * len(headers))[: len(headers)] for row in rows]
+    for kind, head, body in read_blocks(_join_image_marker_lines(text.split("\n")), CALC_RE):
+        if kind == "calculation":
+            title = f"{head.group(1).strip() if head else ''} Calculation".lstrip()
+            builder.emit(Content(kind="calculation", text=title, calculation=body))
+        elif kind == "table":
+            rows = [(row + [""] * len(head))[: len(head)] for row in body]
             builder.emit(
-                Content(kind="table", text=builder.section_heading, headers=headers, rows=rows)
+                Content(kind="table", text=builder.section_heading, headers=head, rows=rows)
             )
-            continue
-        bullet = BULLET_RE.match(line)
-        if bullet:
+        elif not head.strip():
+            builder.flush_runs()
+        elif step := STEP_RE.match(head):
+            builder.open_step(step.group(2))
+        elif (meta := _BOLD_META_RE.match(head)) and (
+            key := meta.group(1).strip().lower()
+        ) in _HEADER_META_KEYS:
+            getattr(builder.header, _HEADER_META_KEYS[key]).value = meta.group(2).strip()
+        elif h3 := _H3_RE.match(head):
+            builder.flush_runs()
+            builder.section_heading = h3.group(1) or h3.group(2)
+            builder.open_phase(builder.section_heading)
+        elif h2 := _H2_RE.match(head):
+            builder.flush_runs()
+            builder.pending_group_name = h2.group(1).split()[0].title()
+            builder.section_heading = h2.group(1)
+        elif h1 := _H1_RE.match(head):
+            builder.fallback_name = builder.section_heading = h1.group(1)
+        elif bullet := BULLET_RE.match(head):
             _parse_bullet(builder, bullet.group(1).strip())
-            i += 1
-            continue
-        builder.emit(Content(kind="paragraph", text=line.strip()))
-        i += 1
+        else:
+            builder.emit(Content(kind="paragraph", text=head.strip()))
     return builder.finish()
 
 

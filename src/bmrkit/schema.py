@@ -42,7 +42,8 @@ ROW_WIDTH_MISMATCH = "ROW_WIDTH_MISMATCH"
 BAD_ID_FORMAT = "BAD_ID_FORMAT"
 
 # A member reader takes (issues, JSON value, path), appends an issue for each
-# shape problem and returns the value to store.
+# shape problem and returns the value to store. Its ``prompt_type`` attribute
+# is the TypeScript type the schema prompt gives the members it reads.
 _Reader = Callable[[list, Any, str], Any]
 
 
@@ -65,7 +66,11 @@ def _error(issues: list, path: str, code: str, message: str) -> None:
     issues.append(issue_error(LAYER_STRUCTURAL, path, code, message))
 
 
-def _leaf(expected: type, what: str) -> _Reader:
+def _union(values: tuple) -> str:
+    return " | ".join(f'"{v}"' for v in values)
+
+
+def _leaf(expected: type, what: str, prompt_type: str) -> _Reader:
     """A value that must be of one JSON type; another type is BAD_FIELD_TYPE."""
 
     def read(issues: list, value: Any, path: str) -> Any:
@@ -74,10 +79,11 @@ def _leaf(expected: type, what: str) -> _Reader:
         _error(issues, path, BAD_FIELD_TYPE, f"expected {what}, got {value!r:.40}")
         return None
 
+    read.prompt_type = prompt_type
     return read
 
 
-_string = _leaf(str, "a string")
+_string = _leaf(str, "a string", "string")
 
 
 def _members(issues: list, value: dict, path: str, rules: tuple) -> dict:
@@ -109,6 +115,7 @@ def _identifier(pattern: re.Pattern) -> _Reader:
             _error(issues, path, BAD_ID_FORMAT, f"id {value!r} does not match the expected format")
         return value
 
+    read.prompt_type = "string"
     return read
 
 
@@ -138,10 +145,15 @@ def _content_kind(issues: list, value: Any, path: str) -> Any:
     return None
 
 
+_non_empty.prompt_type = "string"
+_field_types.prompt_type = "FieldType[]"
+_content_kind.prompt_type = _union(_CONTENT_KIND_ORDER)
+
+
 def _string_object(required: tuple, optional: tuple = (), kinds: tuple = ()) -> _Reader:
-    """An object payload kept as a dict, whose listed members are strings.
-    ``kinds`` are the values its ``kind`` member may hold, which the schema
-    prompt lists and _check_content checks."""
+    """An object payload kept as a dict, whose listed members are strings,
+    typed inline in the schema prompt. ``kinds`` are the values its ``kind``
+    member may hold, which the prompt lists and _check_content checks."""
     rules = tuple((k, k, k in optional, _string) for k in required + optional)
 
     def read(issues: list, value: Any, path: str) -> Any:
@@ -151,7 +163,9 @@ def _string_object(required: tuple, optional: tuple = (), kinds: tuple = ()) -> 
         _members(issues, value, path, rules)
         return value
 
-    read.rules, read.kinds = rules, kinds
+    kind = [f"kind: {_union(kinds)};"] if kinds else []
+    strings = [f"{name}{'?' * optional}: string;" for _, name, optional, _ in rules]
+    read.prompt_type = "{ " + " ".join(kind + strings) + " }"
     return read
 
 
@@ -445,6 +459,7 @@ def _model(cls: type) -> _Reader:
             _check_content(issues, parsed, value, path)
         return parsed
 
+    read.prompt_type = cls.__name__
     return read
 
 
@@ -457,6 +472,7 @@ def _list_of(entry: _Reader) -> _Reader:
             return None
         return [entry(issues, v, f"{path}[{i}]") for i, v in enumerate(value)]
 
+    read.prompt_type = entry.prompt_type + "[]"
     return read
 
 
@@ -467,17 +483,24 @@ def _without_none(hint: Any) -> Any:
     return hint
 
 
+def _any(issues: list, value: Any, path: str) -> Any:
+    return value
+
+
+_any.prompt_type = "any"
+
+
 def _reader(hint: Any) -> _Reader:
     """The reader a member's annotation gives, ``| None`` stripped: a ``str``
     must hold a JSON string, ``Any`` any value, a model class an object read
     member by member, and ``list[X]`` a list whose entries ``X``'s rule reads."""
     hint = _without_none(hint)
     if hint is Any:
-        return lambda issues, value, path: value
+        return _any
     if hint is str:
         return _string
     if hint is list:  # a table row: entries of any type
-        return _leaf(list, "a list")
+        return _leaf(list, "a list", "any[]")
     if get_origin(hint) is list:
         return _list_of(_reader(get_args(hint)[0]))
     if hint in JSON_MEMBERS:
@@ -519,33 +542,6 @@ def parse_record(value: Any) -> BmrRecord | list[ValidationIssue]:
 # Schema prompt
 
 
-def _union(values: tuple) -> str:
-    return " | ".join(f'"{v}"' for v in values)
-
-
-def _prompt_type(hint: Any, read: _Reader | None) -> str:
-    """The TypeScript-like type of a member annotated ``hint`` and read by
-    ``read``, following the rules ``_reader`` gives each annotation."""
-    if read is _field_types:
-        return "FieldType[]"
-    if read is _content_kind:
-        return _union(_CONTENT_KIND_ORDER)
-    if hasattr(read, "kinds"):  # a _string_object payload, written inline
-        kind = [f"kind: {_union(read.kinds)};"] if read.kinds else []
-        strings = [f"{name}{'?' * optional}: string;" for _, name, optional, _ in read.rules]
-        return "{ " + " ".join(kind + strings) + " }"
-    hint = _without_none(hint)
-    if hint is Any:
-        return "any"
-    if hint is str:
-        return "string"
-    if hint is list:  # a table row
-        return "any[]"
-    if get_origin(hint) is list:
-        return _prompt_type(get_args(hint)[0], None) + "[]"
-    return hint.__name__
-
-
 @cache
 def schema_prompt_text() -> str:
     """The typed-interface schema embedded in extraction prompts: one class
@@ -559,7 +555,7 @@ def schema_prompt_text() -> str:
         metadata = {f.name: f.metadata for f in dc_fields(cls)}
         lines = [f"class {cls.__name__} {{"]
         for attr, name, optional, read in rules:
-            line = f"    {name}{'?' * optional}: {_prompt_type(_HINTS[cls][attr], read)};"
+            line = f"    {name}{'?' * optional}: {read.prompt_type};"
             if "types" in metadata[attr]:
                 types = ", ".join(f'"{t}"' for t in metadata[attr]["types"])
                 line += f" // type [{types}]; value: {metadata[attr]['description']}"

@@ -11,10 +11,10 @@ from bmrkit.chunker import (
     WordTokenizer,
     chunk_text_by_tokens,
     count_tokens,
-    split_sentences,
 )
 from bmrkit.cli import main
 from bmrkit.grammar import STEP_RE
+from bmrkit.metrics import split_sentences
 from bmrkit.mock_backend import extract_markdown_record
 
 from conftest import DATA_DIR

@@ -13,7 +13,6 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bmrkit.chunker import split_sentences
 from bmrkit.ingest import SourceDocument
 from bmrkit.metrics import (
     RecordIndex,
@@ -24,12 +23,13 @@ from bmrkit.metrics import (
     compute_metrics,
     conditional_logic_fidelity,
     context_aware_coverage,
-    detect_form_lines,
     detect_step_headings,
     field_accuracy,
     iter_record_strings,
     normalize_words,
+    scan_source_blocks,
     sequence_preservation,
+    split_sentences,
 )
 from bmrkit.schema import BmrRecord, parse_record
 
@@ -140,7 +140,7 @@ def oracle_sequence_preservation(source: SourceDocument, record: BmrRecord) -> f
 
 
 def oracle_field_accuracy(source: SourceDocument, record: BmrRecord) -> float:
-    detected = detect_form_lines(source.text)
+    detected = scan_source_blocks(source.text)[1]
     if not detected:
         return 100.0
     record_fields = [
