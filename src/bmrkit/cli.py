@@ -18,7 +18,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field as dc_field, fields as dc_fields, replace
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from .chunker import ChunkingConfig, WordTokenizer, chunk_text_by_tokens
 from .extraction import ExtractionConfig, HttpChatBackend, parse_endpoint, run_parallel
@@ -27,7 +27,7 @@ from .issues import LAYER_STRUCTURAL, ValidationIssue, issue_error
 from .merge import EmptyMergeError, merge_chunk_results, resolve_cross_references
 from .metrics import WeightVector, compute_metrics, detect_step_headings, render_metrics_table
 from .mock_backend import MockBackend
-from .schema import json_key, json_pieces, serialize_record
+from .schema import serialize_record, write_json
 from .validation import NO_STEPS_EXTRACTED, ValidationReport, read_record_text, validate_record
 
 logger = logging.getLogger(__name__)
@@ -129,35 +129,16 @@ class WriteError(Exception):
     """An output file could not be written."""
 
 
-def _dump_json(value: Any, write: Callable[[str], object], pad: str = "", depth: int = 2) -> None:
-    """Write ``json.dumps(value, indent=2, ensure_ascii=False)`` in pieces: the
-    containers in the top ``depth`` levels are written one entry at a time, so
-    only one entry's text is held at once."""
-    if depth == 0 or not isinstance(value, (dict, list)) or not value:
-        write("".join(json_pieces(value, [], pad)))
-        return
-    inner = pad + "  "
-    is_dict = isinstance(value, dict)
-    write("{" if is_dict else "[")
-    for i, entry in enumerate(value.items() if is_dict else value):
-        write(",\n" + inner if i else "\n" + inner)
-        if is_dict:
-            key, entry = entry
-            write(json_key(key) + ": ")
-        _dump_json(entry, write, inner, depth - 1)
-    write("\n" + pad + ("}" if is_dict else "]"))
-
-
 def _write_json(path: str | None, payload: dict | list) -> None:
     """Write ``payload`` as ``json.dumps(payload, indent=2, ensure_ascii=False)``
     and a newline, to the file at ``path`` or, when it is None, to stdout."""
     if path is None:
-        _dump_json(payload, sys.stdout.write)
+        write_json(payload, sys.stdout.write)
         sys.stdout.write("\n")
         return
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            _dump_json(payload, fh.write)
+            write_json(payload, fh.write)
             fh.write("\n")
     except OSError as exc:
         raise WriteError(f"cannot write {path}: {exc.strerror or exc}") from exc

@@ -4,8 +4,9 @@ The rule-based extraction double (``mock_backend``) and the metric detectors
 (``metrics``) walk source lines with ``read_blocks``, so the double extracts
 what the detectors count: form bullets (``- Label: value``, with blanks, units
 and limits), calculation blocks, and pipe tables, and a line inside a block is
-hidden from both. Step and calculation headings keep one rule per side, set
-side by side below.
+hidden from both. The walk folds an image marker that spans several lines onto
+one line first, so what the marker holds is image text to both sides. Step and
+calculation headings keep one rule per side, set side by side below.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import re
 from typing import Iterator
 
-from .ingest import IMAGE_MARKER_OPEN
+from .ingest import IMAGE_MARKER_CLOSE, IMAGE_MARKER_OPEN
 from .schema import CalcResult, Calculation, FormField, Variable
 
 BULLET_RE = re.compile(r"^\s*[-*]\s+(.*)$")
@@ -161,12 +162,32 @@ def read_table(lines: list[str], i: int) -> tuple[list[str], list[list[str]], in
     return headers, rows, i
 
 
+def _fold_image_markers(lines: list[str]) -> list[str]:
+    """``lines`` with each image marker that spans several lines folded onto
+    its first line: the lines up to the one that closes it are joined with
+    spaces, blank lines and bullets included."""
+    out: list[str] = []
+    rest = iter(lines)
+    for line in rest:
+        _, opened, inside = line.partition(IMAGE_MARKER_OPEN)
+        if opened and IMAGE_MARKER_CLOSE not in inside:
+            line = line.rstrip()
+            for more in rest:
+                line += " " + more.strip()
+                if IMAGE_MARKER_CLOSE in more:
+                    break
+        out.append(line)
+    return out
+
+
 def read_blocks(lines: list[str], calc_title: re.Pattern) -> Iterator[tuple]:
-    """Each line of ``lines`` in order, with calculation blocks and pipe
-    tables read whole: ``("calculation", title match or None, Calculation)``
-    for a block, which opens at a ``calc_title`` line (read from the next
-    line) or at a bare ``Formula:`` line; ``("table", headers, rows)`` for a
-    table; ``("line", line, None)`` for any other line."""
+    """Each line of ``lines`` in order, multi-line image markers folded onto
+    one line, with calculation blocks and pipe tables read whole:
+    ``("calculation", title match or None, Calculation)`` for a block, which
+    opens at a ``calc_title`` line (read from the next line) or at a bare
+    ``Formula:`` line; ``("table", headers, rows)`` for a table; ``("line",
+    line, None)`` for any other line."""
+    lines = _fold_image_markers(lines)
     i = 0
     while i < len(lines):
         title = calc_title.match(lines[i])

@@ -7,8 +7,9 @@ become form fields, lists, instructions, or image content. Content that
 appears before the first step (binder pages, equipment tables) is carried
 forward and attached to that step. A text with no step heading has no step to
 attach it to, and its content is dropped from the record. The lines are walked
-with ``grammar.read_blocks``, which reads calculation blocks and pipe tables
-whole, as the metric detectors read them.
+with ``grammar.read_blocks``, which folds multi-line image markers onto one
+line and reads calculation blocks and pipe tables whole, as the metric
+detectors read them.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from .grammar import (
 )
 from .ingest import IMAGE_MARKER_OPEN
 from .schema import (
-    BmrRecord, Content, Field, FormField, Group, Header, Phase, Step, json_pieces,
-    serialize_record,
+    BmrRecord, Content, Field, FormField, Group, Header, Phase, Step, serialize_record,
+    write_json,
 )
 
 _H1_RE = re.compile(r"^#\s+(.+?)\s*$")
@@ -36,24 +37,6 @@ _HEADER_META_KEYS = {
     "batch number": "sku",
     "manufacturing date": "start_date",
 }
-
-
-def _join_image_marker_lines(lines: list[str]) -> list[str]:
-    """Fold multi-line image markers onto a single line."""
-    out: list[str] = []
-    i = 0
-    while i < len(lines):
-        line = lines[i]
-        if IMAGE_MARKER_OPEN in line and "]" not in line.split(IMAGE_MARKER_OPEN, 1)[1]:
-            joined = line.rstrip()
-            while i + 1 < len(lines) and "]" not in joined.split(IMAGE_MARKER_OPEN, 1)[1]:
-                i += 1
-                joined += " " + lines[i].strip()
-            out.append(joined)
-        else:
-            out.append(line)
-        i += 1
-    return out
 
 
 class _RecordBuilder:
@@ -179,7 +162,7 @@ def _parse_bullet(builder: _RecordBuilder, body: str) -> None:
 def extract_markdown_record(text: str) -> BmrRecord:
     """Map fixture-convention markdown to a record without any model call."""
     builder = _RecordBuilder()
-    for kind, head, body in read_blocks(_join_image_marker_lines(text.split("\n")), CALC_RE):
+    for kind, head, body in read_blocks(text.split("\n"), CALC_RE):
         if kind == "calculation":
             title = f"{head.group(1).strip() if head else ''} Calculation".lstrip()
             builder.emit(Content(kind="calculation", text=title, calculation=body))
@@ -233,4 +216,6 @@ class MockBackend:
             text = prompt
         # perfbench's stub server sends this same text and sets its model delay by its length.
         payload = serialize_record(extract_markdown_record(text))
-        return "".join(json_pieces(payload, ["<json>\n"]) + ["\n</json>"])
+        pieces = ["<json>\n"]
+        write_json(payload, pieces.append)
+        return "".join(pieces) + "\n</json>"

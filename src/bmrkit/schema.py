@@ -354,49 +354,43 @@ def serialize_record(record: BmrRecord) -> dict:
     return _as_json(record)
 
 
-def json_key(key: Any) -> str:
-    """An object key's text as ``json.dumps`` writes it: a number or literal is quoted."""
-    return encode_basestring(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4]
-
-
-def json_pieces(value: Any, pieces: list[str], pad: str = "") -> list[str]:
-    """Append to ``pieces``, and return it, the text of ``json.dumps(value,
-    indent=2, ensure_ascii=False)`` with ``pad`` after each line break, in one
-    recursive walk: with ``indent`` set, ``json`` passes each piece up through
-    a generator per nesting level. Any scalar but a string, null, a boolean or
-    an exact int is written by ``json.dumps``, the same with or without indent."""
+def write_json(value: Any, write: Callable[[str], object], pad: str = "") -> None:
+    """Pass to ``write`` the text of ``json.dumps(value, indent=2,
+    ensure_ascii=False)`` with ``pad`` after each line break, one member (its
+    separator, key and a scalar) at a time, in one recursive walk. Any scalar
+    but a string, null, a boolean or an exact int is written by ``json.dumps``,
+    the same with or without indent, as is a key that is no string."""
     if type(value) is str:
-        pieces.append(encode_basestring(value))
+        write(encode_basestring(value))
     elif value is None or value is True or value is False:
-        pieces.append("null" if value is None else "true" if value else "false")
+        write("null" if value is None else "true" if value else "false")
     elif type(value) is int:
-        pieces.append(int.__repr__(value))
+        write(int.__repr__(value))
     elif isinstance(value, dict):
         inner = pad + "  "
         separator = "{\n" + inner
         for key, entry in value.items():
-            key = encode_basestring(key) if type(key) is str else json_key(key)
+            key = encode_basestring(key) if isinstance(key, str) else json.dumps({key: 0})[1:-4]
             if type(entry) is str:
-                pieces.append(f"{separator}{key}: {encode_basestring(entry)}")
+                write(f"{separator}{key}: {encode_basestring(entry)}")
             else:
-                pieces.append(f"{separator}{key}: ")
-                json_pieces(entry, pieces, inner)
+                write(f"{separator}{key}: ")
+                write_json(entry, write, inner)
             separator = ",\n" + inner
-        pieces.append("\n" + pad + "}" if value else "{}")
+        write("\n" + pad + "}" if value else "{}")
     elif isinstance(value, (list, tuple)):
         inner = pad + "  "
         separator = "[\n" + inner
         for entry in value:
             if type(entry) is str:
-                pieces.append(separator + encode_basestring(entry))
+                write(separator + encode_basestring(entry))
             else:
-                pieces.append(separator)
-                json_pieces(entry, pieces, inner)
+                write(separator)
+                write_json(entry, write, inner)
             separator = ",\n" + inner
-        pieces.append("\n" + pad + "]" if value else "[]")
+        write("\n" + pad + "]" if value else "[]")
     else:
-        pieces.append(json.dumps(value, ensure_ascii=False))
-    return pieces
+        write(json.dumps(value, ensure_ascii=False))
 
 
 # --------------------------------------------------------------------------

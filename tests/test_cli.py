@@ -3,8 +3,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import re
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -16,7 +18,7 @@ from bmrkit.cli import main
 from bmrkit.extraction import build_prompt
 from bmrkit.mock_backend import MockBackend
 from bmrkit.mock_backend import extract_markdown_record
-from bmrkit.schema import json_pieces, parse_record, serialize_record
+from bmrkit.schema import parse_record, serialize_record, write_json
 from bmrkit.validation import validate_all
 
 from conftest import (
@@ -627,11 +629,17 @@ json_values = st.recursive(
 top_level = st.lists(json_values, max_size=5) | st.dictionaries(json_keys, json_values, max_size=5)
 
 
+def written(value, pad=""):
+    pieces = []
+    write_json(value, pieces.append, pad)
+    return "".join(pieces)
+
+
 def assert_written_as_json_dumps(path, value):
     expected = json.dumps(value, indent=2, ensure_ascii=False) + "\n"
-    assert "".join(json_pieces(value, [])) + "\n" == expected
+    assert written(value) + "\n" == expected
     # Every raw newline of the text is a line break: strings escape theirs.
-    assert "".join(json_pieces(value, [], "    ")) == expected[:-1].replace("\n", "\n    ")
+    assert written(value, "    ") == expected[:-1].replace("\n", "\n    ")
     cli._write_json(str(path), value)
     assert path.read_bytes() == expected.encode("utf-8")
     with contextlib.redirect_stdout(io.StringIO()) as stdout:
@@ -647,8 +655,8 @@ def test_write_json_matches_json_dumps(tmp_path, value):
 
 @settings(max_examples=300, deadline=None)
 @given(json_values)
-def test_json_pieces_match_json_dumps_on_any_value(value):
-    assert "".join(json_pieces(value, [])) == json.dumps(value, indent=2, ensure_ascii=False)
+def test_write_json_matches_json_dumps_on_any_value(value):
+    assert written(value) == json.dumps(value, indent=2, ensure_ascii=False)
 
 
 extra_members = st.dictionaries(json_strings.map(lambda key: "x_" + key), json_values, max_size=3)
@@ -681,20 +689,29 @@ def test_process_writes_record_and_report_as_json_dumps(tmp_path, monkeypatch):
     assert json.loads(outs[1].read_text())["issues"]
 
 
-def test_write_json_peak_memory_is_below_the_output_size(tmp_path):
-    """Writing a 50k-word record holds one entry's text at a time; encoding it
-    whole held several copies of the output."""
+def _perfbench_corpus():
     sys.path.insert(0, str(DATA_DIR.parents[1] / "perfbench"))
     try:
         import corpus
     finally:
         sys.path.pop(0)
-    doc = corpus.generate(1, 0, 49500, 50500)
-    payload = serialize_record(extract_markdown_record(doc.text))
+    return corpus
+
+
+@pytest.fixture(scope="module")
+def large_record():
+    """The mock's record of seed-1 document 0 of perfbench's mock-large corpus."""
+    doc = _perfbench_corpus().generate(1, 0, 49500, 50500)
+    return serialize_record(extract_markdown_record(doc.text))
+
+
+def test_write_json_peak_memory_is_below_the_output_size(tmp_path, large_record):
+    """Writing a 50k-word record holds one member's text at a time; encoding it
+    whole held several copies of the output."""
     out = tmp_path / "record.json"
     tracemalloc.start()
     try:
-        cli._write_json(str(out), payload)
+        cli._write_json(str(out), large_record)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -703,13 +720,24 @@ def test_write_json_peak_memory_is_below_the_output_size(tmp_path):
     assert peak < size
 
 
-def _perfbench_corpus():
-    sys.path.insert(0, str(DATA_DIR.parents[1] / "perfbench"))
-    try:
-        import corpus
-    finally:
-        sys.path.pop(0)
-    return corpus
+# One piece of the streamed text: a member, that is an optional separator and
+# indent, an optional key and at most one scalar; or a container's close.
+_STRING = r'"(?:[^"\\]|\\.)*"'
+_MEMBER_PIECE_RE = re.compile(
+    r'(?:[\[{,]\n *)?(?:%s: )?(?:%s|[-+.\w]*)|\n *[\]}]|\[\]|\{\}' % (_STRING, _STRING)
+)
+
+
+def test_write_json_passes_one_member_at_a_time(monkeypatch, large_record):
+    """No piece of the 50k-word record holds more than one member, so neither
+    a step's text nor an issue's is ever built whole."""
+    pieces = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=pieces.append))
+    cli._write_json(None, large_record)
+    assert pieces.pop() == "\n"
+    assert "".join(pieces) == json.dumps(large_record, indent=2, ensure_ascii=False)
+    assert len(pieces) > 10_000
+    assert [piece for piece in pieces if not _MEMBER_PIECE_RE.fullmatch(piece)] == []
 
 
 @pytest.mark.parametrize(

@@ -25,7 +25,7 @@ from bmrkit.grammar import (
     read_table,
     table_start,
 )
-from bmrkit.ingest import SourceDocument
+from bmrkit.ingest import IMAGE_MARKER_OPEN, SourceDocument
 from bmrkit.metrics import (
     RecordIndex,
     SourceIndex,
@@ -44,7 +44,6 @@ from bmrkit.mock_backend import (
     _H2_RE,
     _H3_RE,
     _HEADER_META_KEYS,
-    _join_image_marker_lines,
     _parse_bullet,
     _RecordBuilder,
     extract_markdown_record,
@@ -264,19 +263,54 @@ def test_table_under_a_formula_line_is_calculation_notes():
     assert _scores(text) == (100.0, 100.0, 100.0)
 
 
+def test_multi_line_image_marker_is_folded_for_both_sides():
+    text = (
+        "**Step 1:** Mix\n## Section\nFormula: x\nStep 3: Blend\n\n- Net weight: 1 kg\n"
+        "**Step 2:** Dry\n[Image Text: a\n- Operator: 2\n]\n"
+    )
+    # The marker's bullet is image text, not a form line. The loose "Step 3:"
+    # sits in the "Formula:" block, so "Net weight" is under "## Section",
+    # outside any step body, and is no form line either.
+    assert scan_source_blocks(text) == ([("x", [])], [], [])
+    dry = extract_markdown_record(text).steps[1]
+    assert [(c.kind, c.text) for c in dry.content] == [
+        ("paragraph", "[Image Text: a - Operator: 2 ]")
+    ]
+    assert _scores(text)[0] == 100.0
+
+
 # --------------------------------------------------------------------------
 # The shared walk against the line loops it replaced
 #
 # The oracles are the loops the double and the three detectors ran before both
 # walked grammar.read_blocks, frozen here: each kept its own rule for which
-# lines a calculation block or a table hides.
+# lines a calculation block or a table hides. The double folded multi-line
+# image markers first and the detectors did not; read_blocks now folds them
+# for both, so the detector oracles are run on folded text.
 
 _MD_HEADING_RE = re.compile(r"^\s*#{1,6}\s+")
 
 
+def oracle_join_image_marker_lines(lines: list[str]) -> list[str]:
+    out: list[str] = []
+    i = 0
+    while i < len(lines):
+        line = lines[i]
+        if IMAGE_MARKER_OPEN in line and "]" not in line.split(IMAGE_MARKER_OPEN, 1)[1]:
+            joined = line.rstrip()
+            while i + 1 < len(lines) and "]" not in joined.split(IMAGE_MARKER_OPEN, 1)[1]:
+                i += 1
+                joined += " " + lines[i].strip()
+            out.append(joined)
+        else:
+            out.append(line)
+        i += 1
+    return out
+
+
 def oracle_extract_markdown_record(text: str) -> BmrRecord:
     builder = _RecordBuilder()
-    lines = _join_image_marker_lines(text.split("\n"))
+    lines = oracle_join_image_marker_lines(text.split("\n"))
     i = 0
     while i < len(lines):
         line = lines[i]
@@ -428,23 +462,32 @@ SOUP_LINES = (
 @given(st.lists(st.sampled_from(SOUP_LINES), max_size=30))
 def test_shared_walk_matches_the_line_loops_it_replaced(soup):
     text = "\n".join(soup)
+    folded = "\n".join(oracle_join_image_marker_lines(text.split("\n")))
     record = extract_markdown_record(text)
     assert serialize_record(record) == serialize_record(oracle_extract_markdown_record(text))
     calculations, form_lines, tables = scan_source_blocks(text)
-    assert calculations == oracle_detect_source_calculations(text)
+    assert calculations == oracle_detect_source_calculations(folded)
     assert detect_step_headings(text) == oracle_detect_step_headings(text)
     # The walk hides what the double reads as part of a block, a table under a
     # calculation and the bullets of a bare 'Formula:' block, so it counts a
     # sub-list of what the loops counted.
-    old_form_lines, old_tables = oracle_detect_form_lines(text), oracle_detect_source_tables(text)
+    old_form_lines = oracle_detect_form_lines(folded)
+    old_tables = oracle_detect_source_tables(folded)
     assert _is_sublist(form_lines, old_form_lines)
     assert _is_sublist(tables, old_tables)
     source = SourceDocument.from_text(text)
-    new, old, rec = SourceIndex(source), SourceIndex(source), RecordIndex(record)
-    old.blocks = (calculations, old_form_lines, old_tables)
-    # The double folds a multi-line image marker onto one line and the
-    # detectors do not, so a bullet inside one is counted and not captured;
-    # with such a marker a hidden loose step heading can lower a score.
-    if _join_image_marker_lines(text.split("\n")) == text.split("\n"):
-        for core in (_calculation_fidelity, _field_accuracy, _table_preservation):
-            assert core(new, rec) >= core(old, rec)
+    new, rec = SourceIndex(source), RecordIndex(record)
+    folded_loops, raw_loops = SourceIndex(source), SourceIndex(source)
+    folded_loops.blocks = (calculations, old_form_lines, old_tables)
+    raw_loops.blocks = (
+        oracle_detect_source_calculations(text), oracle_detect_form_lines(text),
+        oracle_detect_source_tables(text),
+    )
+    # Hiding a block's lines never lowers a score. Against the loops on the
+    # unfolded lines a score falls only on a record with no step: the double
+    # drops all it read there, having no step to attach it to, so whatever the
+    # walk counts and the loops did not goes uncaptured.
+    for core in (_calculation_fidelity, _field_accuracy, _table_preservation):
+        assert core(new, rec) >= core(folded_loops, rec)
+        if record.steps:
+            assert core(new, rec) >= core(raw_loops, rec)
