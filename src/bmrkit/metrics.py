@@ -12,18 +12,18 @@ extracts with. All metrics return a percentage in [0, 100] and degrade to 100
 when the source contains nothing to preserve.
 
 Scoring builds what several metrics read once per call, in two indexes. A
-``SourceIndex`` holds the source's word set and sentences, each sentence with
-its boilerplate flag, canonical word set and conditional keywords, and the
-line blocks of ``scan_source_blocks``; a
-``RecordIndex`` holds the record's prose strings and word set, one canonical
-word set per content unit, and the parent-link count that two structural
-metrics share. Each part is computed on first use, and each text is tokenized
-once, through a memo from raw token to normalized and canonical word that one
-``compute_metrics`` call owns and drops on return. The 60% sentence-coverage
-rule runs on an inverted word-to-unit index with exact size and prefix
-filters: only units large enough and holding one of a sentence's rarest words
-are checked in full. Form fields and step names are matched by key lookup
-rather than by scanning the record.
+``SourceIndex`` holds the source's word set and sentences (flag, words and
+keywords, no text), and the line blocks of ``scan_source_blocks``; a
+``RecordIndex`` holds the record's prose strings and word set, each content
+unit's distinct canonical words as a tuple, and the parent links that two
+structural metrics share. Each part is built on first use, and each text is
+tokenized once, through a memo that one ``compute_metrics`` call owns. The
+word indexes live only while the three word metrics run: their pair of indexes
+dies before a second pair builds the record blob and the source blocks. The
+60% sentence-coverage rule runs on an inverted word-to-unit index with exact
+size and prefix filters: only units large enough and holding one of a
+sentence's rarest words are checked in full. Form fields and step names are
+matched by key lookup rather than by scanning the record.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import asdict, dataclass, field as dc_field, fields
 from functools import cached_property
-from itertools import repeat
-from typing import Any, Iterator, NamedTuple
+from itertools import chain, islice
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from .chunker import SENTENCE_BOUNDARY
 from .grammar import BULLET_RE, CALC_HEADER_RE, STEP_HEADING_RE, parse_form_body, read_blocks
@@ -52,7 +52,8 @@ STATUS_NEEDS_REVIEW = "Needs review"
 
 # Stands in for a dot between digits while tokenizing, so "1.5" stays one token.
 _GUARD = "\uf8ff"
-_NUMBER_DOT_RE = re.compile(r"(?<=\d)\.(?=\d)")
+# The dot leads, so the lookbehind is tried only at dots.
+_NUMBER_DOT_RE = re.compile(r"\.(?<=\d\.)(?=\d)")
 _TOKEN_RE = re.compile("[a-z0-9" + _GUARD + "]+")
 
 # A leading lookahead lets each scan skip positions no match can start at.
@@ -101,11 +102,12 @@ class _Tokenizer:
             self.memo[token] = (word if len(word) >= 2 else None, sys.intern(_canon_token(word)))
         return map(self.memo.__getitem__, raw)
 
-    def canon(self, text: str, seen: set[str]) -> frozenset[str]:
-        """The canonical words of ``text``; its normalized words go to ``seen``."""
+    def canon(self, text: str, seen: set[str]) -> tuple[str, ...]:
+        """The distinct canonical words of ``text`` in first-use order; its
+        normalized words go to ``seen``."""
         kept = [entry for entry in self.tokens(text) if entry[0]]
         seen.update(word for word, _ in kept)
-        return frozenset(form for _, form in kept)
+        return tuple(dict.fromkeys(form for _, form in kept))
 
     def key(self, text: str) -> str:
         """Order-preserving token key for name matching (keeps short tokens)."""
@@ -232,7 +234,7 @@ class _Sentence(NamedTuple):
 
 
 class _UnitMatcher:
-    """The 60% rule over a fixed list of unit word sets.
+    """The 60% rule over a fixed list of units, each a tuple of distinct words.
 
     A sentence of n words is covered by a unit sharing at least 0.6·n of them,
     that is at least t = ceil(0.6·n). Two exact filters pick the candidates,
@@ -243,7 +245,7 @@ class _UnitMatcher:
     words can cover. Each candidate then gets the full check.
     """
 
-    def __init__(self, units: list[frozenset[str]]) -> None:
+    def __init__(self, units: list[tuple[str, ...]]) -> None:
         # Largest first: the units big enough for a sentence are then a
         # leading run of the list and of every posting list.
         self.units = sorted(units, key=len, reverse=True)
@@ -256,27 +258,30 @@ class _UnitMatcher:
     def covers(
         self, words: tuple[str, ...], keywords: tuple[str, ...] | None = None
     ) -> bool:
-        """Whether one unit holds 60% of ``words`` and, when ``keywords`` is
-        given, at least one keyword."""
+        """Whether one unit holds 60% of the distinct ``words`` and, when
+        ``keywords`` is given, at least one keyword."""
         needed = 0.6 * len(words)
         shared = math.ceil(needed)
         big = bisect_right(self.negative_sizes, -shared)
 
-        def units_with(word: str) -> list[int]:
-            ids = self.postings.get(word, [])
-            return ids[: bisect_left(ids, big)]
+        def in_size(word: str) -> int:
+            return bisect_left(self.postings.get(word, ()), big)
+
+        def units_with(some: Iterable[str]) -> set[int]:
+            """Units big enough that hold one of ``some``, read in place."""
+            prefixes = (islice(self.postings.get(w, ()), in_size(w)) for w in some)
+            return set(chain.from_iterable(prefixes))
 
         if shared == 0:
             candidates = set(range(big))
         else:
-            by_rarity = sorted(map(units_with, words), key=len)
-            candidates = set().union(*by_rarity[: len(words) - shared + 1])
+            candidates = units_with(sorted(words, key=in_size)[: len(words) - shared + 1])
         if keywords is not None:
-            candidates &= set().union(*map(units_with, keywords))
-        # any(len(unit & words) >= needed for each candidate unit), iterated
-        # in C; it stops at the first unit that covers.
+            candidates &= units_with(keywords)
+        # any(len(unit & words) >= needed for each candidate unit) over units of
+        # distinct words, iterated in C; it stops at the first unit that covers.
         units = map(self.units.__getitem__, candidates)
-        overlaps = map(len, map(frozenset.intersection, units, repeat(words)))
+        overlaps = map(len, map(frozenset(words).intersection, units))
         return any(map(needed.__le__, overlaps))
 
 
@@ -289,25 +294,22 @@ class SourceIndex:
         self.tokenizer = tokenizer or _Tokenizer()
 
     @cached_property
-    def tokenized(self) -> tuple[set[str], list[tuple[str, tuple[str, ...]]]]:
-        """The text's normalized words, and each sentence with its canonical
-        words, from one pass over the sentences. The sentences hold all of the
-        text's words, as the split removes only whitespace, which no token spans."""
+    def tokenized(self) -> tuple[set[str], list[_Sentence]]:
+        """The text's normalized words, and each sentence's flag, canonical
+        words and keywords, from one pass that keeps no sentence text. The
+        sentences hold all of the text's words, as the split removes only
+        whitespace, which no token spans."""
         words: set[str] = set()
         canon = self.tokenizer.canon
-        sentences = [(s, tuple(canon(s, words))) for s in split_sentences(self.text)]
-        return words, sentences
-
-    @cached_property
-    def sentences(self) -> list[_Sentence]:
-        return [
+        sentences = [
             _Sentence(
                 boilerplate=_BOILERPLATE_RE.search(sentence) is not None,
-                words=words,
+                words=canon(sentence, words),
                 keywords=tuple({m.group(1).lower() for m in _CONDITIONAL_RE.finditer(sentence)}),
             )
-            for sentence, words in self.tokenized[1]
+            for sentence in split_sentences(self.text)
         ]
+        return words, sentences
 
     @cached_property
     def blocks(self) -> tuple[list[tuple[str, list[str]]], list[FormField], list[list[str]]]:
@@ -341,7 +343,7 @@ class RecordIndex:
         return " ".join(text for text in collapsed if text)
 
     @cached_property
-    def tokenized(self) -> tuple[set[str], list[tuple[str | None, frozenset[str]]]]:
+    def tokenized(self) -> tuple[set[str], list[tuple[str | None, tuple[str, ...]]]]:
         """The normalized words of all prose strings, and (kind, canonical
         words) of each step name (kind None) and content item with prose.
         Strings are tokenized joined by spaces, which no token spans."""
@@ -414,7 +416,7 @@ def context_aware_coverage(source: SourceDocument, record: BmrRecord) -> float:
 
 
 def _context_aware_coverage(src: SourceIndex, rec: RecordIndex) -> float:
-    kept = [s.words for s in src.sentences if not s.boilerplate and s.words]
+    kept = [s.words for s in src.tokenized[1] if not s.boilerplate and s.words]
     if not kept:
         return 100.0
     covered = sum(1 for words in kept if rec.context_units.covers(words))
@@ -625,7 +627,7 @@ def conditional_logic_fidelity(source: SourceDocument, record: BmrRecord) -> flo
 
 
 def _conditional_logic_fidelity(src: SourceIndex, rec: RecordIndex) -> float:
-    detected = [s for s in src.sentences if s.keywords]
+    detected = [s for s in src.tokenized[1] if s.keywords]
     if not detected:
         return 100.0
     preserved = sum(
@@ -832,6 +834,16 @@ def composite_score(report: MetricsReport, weights: WeightVector | None = None) 
     return sum(getattr(report, name) * getattr(weights, name) for name in METRIC_NAMES) / total
 
 
+def _word_scores(source: SourceDocument, record: BmrRecord, tokenizer: _Tokenizer) -> dict:
+    """The word metrics, on word indexes that die on return, before the blob and blocks exist."""
+    src, rec = SourceIndex(source, tokenizer), RecordIndex(record, tokenizer=tokenizer)
+    return {
+        "crude_word_coverage": _crude_word_coverage(src, rec),
+        "context_aware_coverage": _context_aware_coverage(src, rec),
+        "conditional_logic_fidelity": _conditional_logic_fidelity(src, rec),
+    }
+
+
 def compute_metrics(
     source: SourceDocument,
     record: BmrRecord,
@@ -842,14 +854,12 @@ def compute_metrics(
     tokenizer = _Tokenizer()
     src, rec = SourceIndex(source, tokenizer), RecordIndex(record, refs, tokenizer)
     report = MetricsReport(
-        crude_word_coverage=_crude_word_coverage(src, rec),
-        context_aware_coverage=_context_aware_coverage(src, rec),
+        **_word_scores(source, record, tokenizer),
         reference_coverage=_reference_coverage(src, rec),
         hierarchy_preservation=_hierarchy_preservation(rec),
         sequence_preservation=sequence_preservation(source, record),
         cross_reference_integrity=_cross_reference_integrity(rec),
         calculation_fidelity=_calculation_fidelity(src, rec),
-        conditional_logic_fidelity=_conditional_logic_fidelity(src, rec),
         unit_fidelity=unit_fidelity(source, record),
         field_accuracy=_field_accuracy(src, rec),
         table_preservation=_table_preservation(src, rec),

@@ -1,11 +1,12 @@
-"""Shared fixtures: the golden sample document, scripted backends, a fully
-populated clean record, and the seeded-fault table used by the validator and
-acceptance suites."""
+"""Shared fixtures: the golden sample document, a 50k-word corpus document,
+scripted backends, a fully populated clean record, and the seeded-fault table
+used by the validator and acceptance suites."""
 
 from __future__ import annotations
 
 import copy
 import json
+import sys
 import threading
 import time
 from pathlib import Path
@@ -20,6 +21,22 @@ from bmrkit.schema import BmrRecord, parse_record, serialize_record
 DATA_DIR = Path(__file__).parent / "data"
 SAMPLE_BMR = DATA_DIR / "sample_bmr.md"
 SAMPLE_RECORD = DATA_DIR / "sample_bmr.record.json"
+
+
+def perfbench_corpus():
+    """perfbench's deterministic corpus generator, ``perfbench/corpus.py``."""
+    sys.path.insert(0, str(DATA_DIR.parents[1] / "perfbench"))
+    try:
+        import corpus
+    finally:
+        sys.path.pop(0)
+    return corpus
+
+
+@pytest.fixture(scope="session")
+def mock_large_text() -> str:
+    """Seed-1 document 0 of perfbench's mock-large corpus (50k words)."""
+    return perfbench_corpus().generate(1, 0, 49500, 50500).text
 
 
 @pytest.fixture(scope="session")

@@ -22,8 +22,8 @@ from bmrkit.schema import parse_record, serialize_record, write_json
 from bmrkit.validation import validate_all
 
 from conftest import (
-    DATA_DIR, SAMPLE_BMR, SAMPLE_RECORD, ScriptedBackend, clean_record_json, refs_for_json,
-    wrap_json,
+    DATA_DIR, SAMPLE_BMR, SAMPLE_RECORD, ScriptedBackend, clean_record_json, perfbench_corpus,
+    refs_for_json, wrap_json,
 )
 
 
@@ -689,20 +689,10 @@ def test_process_writes_record_and_report_as_json_dumps(tmp_path, monkeypatch):
     assert json.loads(outs[1].read_text())["issues"]
 
 
-def _perfbench_corpus():
-    sys.path.insert(0, str(DATA_DIR.parents[1] / "perfbench"))
-    try:
-        import corpus
-    finally:
-        sys.path.pop(0)
-    return corpus
-
-
 @pytest.fixture(scope="module")
-def large_record():
+def large_record(mock_large_text):
     """The mock's record of seed-1 document 0 of perfbench's mock-large corpus."""
-    doc = _perfbench_corpus().generate(1, 0, 49500, 50500)
-    return serialize_record(extract_markdown_record(doc.text))
+    return serialize_record(extract_markdown_record(mock_large_text))
 
 
 def test_write_json_peak_memory_is_below_the_output_size(tmp_path, large_record):
@@ -756,7 +746,7 @@ def test_mock_reply_is_the_record_as_json_dumps(source):
     if isinstance(source, str):
         text = (DATA_DIR / source).read_text(encoding="utf-8")
     else:
-        text = _perfbench_corpus().generate(1, 0, *source).text
+        text = perfbench_corpus().generate(1, 0, *source).text
     prompt = build_prompt(Chunk(index=0, text=text, token_count=0), 1)
     payload = serialize_record(extract_markdown_record(text))
     expected = "<json>\n" + json.dumps(payload, indent=2, ensure_ascii=False) + "\n</json>"

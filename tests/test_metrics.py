@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -29,6 +30,7 @@ from bmrkit.metrics import (
     unique_step_types,
     unit_fidelity,
 )
+from bmrkit.mock_backend import extract_markdown_record
 from bmrkit.schema import BmrRecord, parse_record
 
 from conftest import DATA_DIR, clean_record_json
@@ -613,6 +615,22 @@ def test_compute_metrics_report_shape(golden_doc, golden_with_refs):
     assert payload["statuses"]["composite"] == "Excellent"
     assert set(payload) > {"crude_word_coverage", "composite", "unique_step_types"}
     json.dumps(payload)
+
+
+def test_scoring_a_50k_word_record_peaks_below_3_5_mb(mock_large_text):
+    """The word indexes are compact and die before the block metrics build
+    theirs. With every index alive until the report was done, scoring this
+    record peaked 7.05 MB above the call (Python 3.11)."""
+    source = SourceDocument.from_text(mock_large_text)
+    record, refs = resolve_cross_references(extract_markdown_record(mock_large_text))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        compute_metrics(source, record, refs=refs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - base < 3_500_000
 
 
 def _locked_report(source: SourceDocument, record: BmrRecord) -> str:

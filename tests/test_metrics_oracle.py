@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from bmrkit.ingest import SourceDocument
 from bmrkit.metrics import (
+    _NUMBER_DOT_RE,
     RecordIndex,
     SourceIndex,
     _content_strings,
@@ -39,6 +40,8 @@ from conftest import clean_record_json
 # Oracles: word canonicalization and the quadratic matching loops.
 
 _GUARD = "\uf8ff"
+# The number-dot guard as first written, with the lookbehind leading.
+_NUMBER_DOT = r"(?<=\d)\.(?=\d)"
 _BOILERPLATE_RES = (
     re.compile(r"page\s+\d+\s+of\s+\d+", re.IGNORECASE),
     re.compile(r"performed\s+by", re.IGNORECASE),
@@ -49,7 +52,7 @@ _CONDITIONAL_KINDS = {"instruction", "note", "warning", "paragraph"}
 
 
 def _tokenize(text: str) -> list[str]:
-    guarded = re.sub(r"(?<=\d)\.(?=\d)", _GUARD, text.lower())
+    guarded = re.sub(_NUMBER_DOT, _GUARD, text.lower())
     return [
         m.group(0).replace(_GUARD, ".")
         for m in re.finditer(r"[a-z0-9" + _GUARD + r"]+", guarded)
@@ -67,6 +70,20 @@ def _canon_words(text: str) -> set[str]:
     return {_canon_token(w) for w in _tokenize(text) if len(w) >= 2}
 
 
+def _first_use_words(text: str) -> list[str]:
+    """The canonical words of ``text``, each once, in order of first use."""
+    words = [_canon_token(w) for w in _tokenize(text) if len(w) >= 2]
+    return sorted(set(words), key=words.index)
+
+
+def _is_boilerplate(sentence: str) -> bool:
+    return any(rx.search(sentence) for rx in _BOILERPLATE_RES)
+
+
+def _keywords(sentence: str) -> set[str]:
+    return {m.group(1).lower() for m in _CONDITIONAL_RE.finditer(sentence)}
+
+
 def _text_key(text: str) -> str:
     return " ".join(_canon_token(t) for t in _tokenize(text))
 
@@ -74,7 +91,7 @@ def _text_key(text: str) -> str:
 def oracle_context_aware_coverage(source: SourceDocument, record: BmrRecord) -> float:
     kept: list[set[str]] = []
     for sentence in split_sentences(source.text):
-        if any(rx.search(sentence) for rx in _BOILERPLATE_RES):
+        if _is_boilerplate(sentence):
             continue
         words = _canon_words(sentence)
         if words:
@@ -100,7 +117,7 @@ def oracle_context_aware_coverage(source: SourceDocument, record: BmrRecord) -> 
 def oracle_conditional_logic_fidelity(source: SourceDocument, record: BmrRecord) -> float:
     detected: list[tuple[set[str], set[str]]] = []
     for sentence in split_sentences(source.text):
-        keywords = {m.group(1).lower() for m in _CONDITIONAL_RE.finditer(sentence)}
+        keywords = _keywords(sentence)
         if keywords:
             detected.append((_canon_words(sentence), keywords))
     if not detected:
@@ -352,19 +369,42 @@ def test_keyword_missing_from_the_only_covering_unit():
 
 TOKEN_ALPHABET = "ab1" + "0.×İ" + _GUARD + " \n\t\xa0!?"
 token_texts = st.text(st.sampled_from(TOKEN_ALPHABET), max_size=40)
+# Phrases that set a sentence's boilerplate flag or its keywords, and the
+# repeats that a sentence's distinct words must fold.
+FLAG_PHRASES = ("Page 2 of 9", "performed  by", "Date: __", "If", "when", "OTHERWISE", "ab ab")
+
+
+def assert_distinct_first_use(words: tuple[str, ...], text: str) -> None:
+    """Each word once, in first-use order: ``covers`` takes 60% of
+    ``len(words)`` as the threshold, so a duplicate would change a score."""
+    assert len(set(words)) == len(words)
+    assert list(words) == _first_use_words(text)
+
+
+# "٣" is a digit to \d but not to [0-9].
+@settings(max_examples=1000, deadline=None)
+@given(st.text(st.sampled_from("1a9 .٣")))
+def test_number_dot_guard_matches_the_lookbehind_first_pattern(text):
+    assert [m.span() for m in _NUMBER_DOT_RE.finditer(text)] == [
+        m.span() for m in re.finditer(_NUMBER_DOT, text)
+    ]
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(token_texts, max_size=6).map(" ".join))
+@given(st.lists(st.one_of(token_texts, st.sampled_from(FLAG_PHRASES)), max_size=6).map(" ".join))
 def test_source_token_pass_matches_per_sentence_tokenization(text):
     source = SourceDocument.from_text(text)
     words, sentences = SourceIndex(source).tokenized
     per_sentence = [normalize_words(s) for s in split_sentences(source.text)]
     assert normalize_words(source.text) == set().union(*per_sentence) == words
     assert normalize_words(source.text) == {w for w in _tokenize(source.text) if len(w) >= 2}
-    assert [(s, set(canon)) for s, canon in sentences] == [
-        (s, _canon_words(s)) for s in split_sentences(source.text)
+    texts = split_sentences(source.text)
+    assert [(set(s.words), s.boilerplate, set(s.keywords)) for s in sentences] == [
+        (_canon_words(t), _is_boilerplate(t), _keywords(t)) for t in texts
     ]
+    for sentence, sentence_text in zip(sentences, texts):
+        assert_distinct_first_use(sentence.words, sentence_text)
+        assert len(set(sentence.keywords)) == len(sentence.keywords)
 
 
 def table_unit(headers: list[str], rows: list[list[str]]) -> dict:
@@ -405,11 +445,14 @@ def token_records(draw) -> BmrRecord:
 def test_record_token_pass_matches_per_string_tokenization(record):
     words, units = RecordIndex(record).tokenized
     assert words == set().union(*map(normalize_words, iter_record_strings(record)))
-    expected = []
+    unit_texts = []
     for step in record.steps:
-        expected.append((None, _canon_words(step.step_name.value)))
+        unit_texts.append((None, step.step_name.value))
         for content in step.content:
             blob = " ".join(_content_strings(content))
             if blob:
-                expected.append((content.kind, _canon_words(blob)))
+                unit_texts.append((content.kind, blob))
+    expected = [(kind, _canon_words(text)) for kind, text in unit_texts]
     assert [(kind, set(canon)) for kind, canon in units] == expected
+    for (_, canon), (_, text) in zip(units, unit_texts):
+        assert_distinct_first_use(canon, text)
