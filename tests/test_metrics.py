@@ -678,6 +678,22 @@ def test_damaged_metrics_lock():
     assert got == (DATA_DIR / "generated_bmr.metrics.json").read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize(
+    "name, record",
+    [
+        ("sample_bmr", lambda source: extract_markdown_record(source.text)),
+        ("generated_bmr", lambda source: damaged_generated_record()),
+    ],
+)
+def test_rendered_table_lock(name, record):
+    """The golden sample and the damaged record render byte-identically to
+    the committed tables."""
+    source = SourceDocument.from_text((DATA_DIR / f"{name}.md").read_text(encoding="utf-8"))
+    report = compute_metrics(source, record(source), processing_seconds=0)
+    got = render_metrics_table(report) + "\n"
+    assert got == (DATA_DIR / f"{name}.metrics.txt").read_text(encoding="utf-8")
+
+
 def test_render_table_groups_categories(golden_doc, golden_with_refs):
     record, refs = golden_with_refs
     table = render_metrics_table(compute_metrics(golden_doc, record, refs=refs))
