@@ -293,8 +293,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--model")
         p.add_argument("--reprocess-threshold", type=float, dest="reprocess_threshold")
         p.add_argument(
-            "--weights", help="JSON object of per-metric weights, e.g. "
-            '\'{"unit_fidelity": 2.0}\''
+            "--weights", help="JSON object of per-metric weights, keyed by any of "
+            + ", ".join(f.name for f in dc_fields(WeightVector))
         )
         p.add_argument("--metrics-out", dest="metrics_out")
 

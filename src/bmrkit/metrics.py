@@ -8,8 +8,13 @@ deliberately spelled out in the docstrings below. The line rules they share
 with the extraction double (form bullets, calculation blocks, pipe tables) are
 defined once, in ``grammar``: ``scan_source_blocks`` finds calculations, form
 lines and tables in one walk of ``grammar.read_blocks``, the walk the double
-extracts with. All metrics return a percentage in [0, 100] and degrade to 100
-when the source contains nothing to preserve.
+extracts with.
+
+Each percentage metric is declared once, as a row of ``METRICS``; the report,
+the weights, the statuses and the rendered table read that table. A row's
+core tallies (preserved, detected) on the shared indexes below, and the score
+is 100·preserved/detected, or 100 when the source has nothing to preserve.
+Each public metric function scores its core on fresh indexes.
 
 Scoring builds what several metrics read once per call, in two indexes. A
 ``SourceIndex`` holds the source's word set and sentences (flag, words and
@@ -34,10 +39,10 @@ import re
 import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
-from dataclasses import asdict, dataclass, field as dc_field, fields
+from dataclasses import asdict, astuple, dataclass, field as dc_field, make_dataclass
 from functools import cached_property
 from itertools import chain, islice
-from typing import Any, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .chunker import SENTENCE_BOUNDARY
 from .grammar import BULLET_RE, CALC_HEADER_RE, STEP_HEADING_RE, parse_form_body, read_blocks
@@ -385,24 +390,34 @@ class RecordIndex:
 
 # --------------------------------------------------------------------------
 # Coverage metrics
-#
-# A metric that reads the shared indexes builds them and calls a core that
-# compute_metrics shares; the other metrics read the inputs directly. Each
-# tests the source side for emptiness before it touches the record side, as
-# the metric definitions do.
+
+Core = Callable[[SourceIndex, RecordIndex], tuple[int, int]]
+
+
+def _percent(preserved: int, detected: int) -> float:
+    """The share preserved as a percentage, 100 when nothing was detected."""
+    return 100.0 * preserved / detected if detected else 100.0
+
+
+def _score(
+    core: Core, source: SourceDocument, record: BmrRecord, refs: list[CrossReference] | None = None
+) -> float:
+    return _percent(*core(SourceIndex(source), RecordIndex(record, refs)))
+
+
+# What the record-only metrics are scored against.
+_NO_SOURCE = SourceDocument.from_text("")
 
 
 def crude_word_coverage(source: SourceDocument, record: BmrRecord) -> float:
     """Word-set recall: share of normalized source words present anywhere in
     the record's prose strings."""
-    return _crude_word_coverage(SourceIndex(source), RecordIndex(record))
+    return _score(_crude_word_coverage, source, record)
 
 
-def _crude_word_coverage(src: SourceIndex, rec: RecordIndex) -> float:
+def _crude_word_coverage(src: SourceIndex, rec: RecordIndex) -> tuple[int, int]:
     src_words = src.tokenized[0]
-    if not src_words:
-        return 100.0
-    return 100.0 * len(src_words & rec.tokenized[0]) / len(src_words)
+    return len(src_words & rec.tokenized[0]), len(src_words)
 
 
 def context_aware_coverage(source: SourceDocument, record: BmrRecord) -> float:
@@ -412,15 +427,12 @@ def context_aware_coverage(source: SourceDocument, record: BmrRecord) -> float:
     within a single content item or step name. Boilerplate sentences (page
     footers, signature lines) are dropped before counting.
     """
-    return _context_aware_coverage(SourceIndex(source), RecordIndex(record))
+    return _score(_context_aware_coverage, source, record)
 
 
-def _context_aware_coverage(src: SourceIndex, rec: RecordIndex) -> float:
+def _context_aware_coverage(src: SourceIndex, rec: RecordIndex) -> tuple[int, int]:
     kept = [s.words for s in src.tokenized[1] if not s.boilerplate and s.words]
-    if not kept:
-        return 100.0
-    covered = sum(1 for words in kept if rec.context_units.covers(words))
-    return 100.0 * covered / len(kept)
+    return sum(1 for words in kept if rec.context_units.covers(words)), len(kept)
 
 
 def reference_coverage(
@@ -428,13 +440,11 @@ def reference_coverage(
 ) -> float:
     """Share of source-detected references represented in the record, either
     as a resolved link or carried through as a reference note."""
-    return _reference_coverage(SourceIndex(source), RecordIndex(record, refs))
+    return _score(_reference_coverage, source, record, refs)
 
 
-def _reference_coverage(src: SourceIndex, rec: RecordIndex) -> float:
+def _reference_coverage(src: SourceIndex, rec: RecordIndex) -> tuple[int, int]:
     detected = detect_reference_texts(src.text)
-    if not detected:
-        return 100.0
     resolved_texts = {r.ref_text.lower() for r in rec.refs if r.resolved}
     # A source repeats its references ("see Step 3"), and each test scans the
     # whole record blob, so each distinct phrase is tested once.
@@ -445,7 +455,7 @@ def _reference_coverage(src: SourceIndex, rec: RecordIndex) -> float:
         if needle not in found:
             found[needle] = needle in rec.blob or needle in resolved_texts
         covered += found[needle]
-    return 100.0 * covered / len(detected)
+    return covered, len(detected)
 
 
 # --------------------------------------------------------------------------
@@ -455,12 +465,11 @@ def _reference_coverage(src: SourceIndex, rec: RecordIndex) -> float:
 def hierarchy_preservation(record: BmrRecord) -> float:
     """Valid parent links over all parent links. A step's group link is valid
     only when it also matches its phase's group."""
-    return _hierarchy_preservation(RecordIndex(record))
+    return _score(_hierarchy_preservation, _NO_SOURCE, record)
 
 
-def _hierarchy_preservation(rec: RecordIndex) -> float:
-    valid, total = rec.parent_links
-    return 100.0 if total == 0 else 100.0 * valid / total
+def _hierarchy_preservation(src: SourceIndex, rec: RecordIndex) -> tuple[int, int]:
+    return rec.parent_links
 
 
 def detect_step_headings(text: str) -> list[str]:
@@ -491,21 +500,23 @@ def sequence_preservation(source: SourceDocument, record: BmrRecord) -> float:
     heading to the first record step with its name not matched before; the
     metric is 100 when fewer than two headings match.
     """
-    text_key = _Tokenizer().key
+    return _score(_sequence_preservation, source, record)
+
+
+def _sequence_preservation(src: SourceIndex, rec: RecordIndex) -> tuple[int, int]:
+    text_key = rec.tokenizer.key
     unmatched: dict[str, deque[int]] = {}
-    for idx, step in enumerate(record.steps):
+    for idx, step in enumerate(rec.record.steps):
         if isinstance(step.step_name.value, str):
             key = text_key(step.step_name.value)
             if key:
                 unmatched.setdefault(key, deque()).append(idx)
     positions: list[int] = []
-    for heading in detect_step_headings(source.text):
+    for heading in detect_step_headings(src.text):
         queue = unmatched.get(text_key(heading))
         if queue:
             positions.append(queue.popleft())
-    if len(positions) < 2:
-        return 100.0
-    return 100.0 * _lis_length(positions) / len(positions)
+    return _lis_length(positions), len(positions)
 
 
 def _target_exists(record: BmrRecord, target: str) -> bool:
@@ -523,10 +534,10 @@ def _target_exists(record: BmrRecord, target: str) -> bool:
 def cross_reference_integrity(record: BmrRecord) -> float:
     """Resolved internal id references over all internal id references:
     link annotations pointing at record paths plus phase/group links."""
-    return _cross_reference_integrity(RecordIndex(record))
+    return _score(_cross_reference_integrity, _NO_SOURCE, record)
 
 
-def _cross_reference_integrity(rec: RecordIndex) -> float:
+def _cross_reference_integrity(src: SourceIndex, rec: RecordIndex) -> tuple[int, int]:
     resolved, total = rec.parent_links
     for content in _iter_contents(rec.record):
         if content.link is not None:
@@ -534,7 +545,7 @@ def _cross_reference_integrity(rec: RecordIndex) -> float:
             if url.startswith("#"):
                 total += 1
                 resolved += _target_exists(rec.record, url[1:])
-    return 100.0 if total == 0 else 100.0 * resolved / total
+    return resolved, total
 
 
 # --------------------------------------------------------------------------
@@ -592,13 +603,11 @@ def calculation_fidelity(source: SourceDocument, record: BmrRecord) -> float:
     """A source calculation is preserved when some calculation content matches
     its formula after normalization (whitespace collapsed, multiplication sign
     unified) and carries at least its listed variable names."""
-    return _calculation_fidelity(SourceIndex(source), RecordIndex(record))
+    return _score(_calculation_fidelity, source, record)
 
 
-def _calculation_fidelity(src: SourceIndex, rec: RecordIndex) -> float:
+def _calculation_fidelity(src: SourceIndex, rec: RecordIndex) -> tuple[int, int]:
     detected = src.blocks[0]
-    if not detected:
-        return 100.0
     text_key = rec.tokenizer.key
     record_calcs = [
         (
@@ -608,32 +617,26 @@ def _calculation_fidelity(src: SourceIndex, rec: RecordIndex) -> float:
         for c in _iter_contents(rec.record)
         if c.calculation is not None
     ]
-    preserved = 0
-    for formula, names in detected:
-        want_formula = _norm_formula(formula)
-        want_names = {text_key(n) for n in names}
-        if any(
-            want_formula == got_formula and want_names <= got_names
-            for got_formula, got_names in record_calcs
-        ):
-            preserved += 1
-    return 100.0 * preserved / len(detected)
+    wanted = ((_norm_formula(formula), {text_key(n) for n in names}) for formula, names in detected)
+    preserved = sum(
+        any(formula == got and names <= got_names for got, got_names in record_calcs)
+        for formula, names in wanted
+    )
+    return preserved, len(detected)
 
 
 def conditional_logic_fidelity(source: SourceDocument, record: BmrRecord) -> float:
     """A conditional source sentence is preserved when an instruction, note,
     warning, or paragraph covers it (60% rule) and retains the keyword."""
-    return _conditional_logic_fidelity(SourceIndex(source), RecordIndex(record))
+    return _score(_conditional_logic_fidelity, source, record)
 
 
-def _conditional_logic_fidelity(src: SourceIndex, rec: RecordIndex) -> float:
+def _conditional_logic_fidelity(src: SourceIndex, rec: RecordIndex) -> tuple[int, int]:
     detected = [s for s in src.tokenized[1] if s.keywords]
-    if not detected:
-        return 100.0
     preserved = sum(
         1 for s in detected if rec.conditional_units.covers(s.words, s.keywords)
     )
-    return 100.0 * preserved / len(detected)
+    return preserved, len(detected)
 
 
 def detect_unit_pairs(text: str) -> list[tuple[str, str]]:
@@ -668,25 +671,24 @@ def unit_fidelity(source: SourceDocument, record: BmrRecord) -> float:
     """A (number, unit) pair survives when the same normalized number sits
     next to the same normalized unit somewhere in the record: inside one
     string, or as a form-field/variable/result value-unit pairing."""
-    detected = detect_unit_pairs(source.text)
-    if not detected:
-        return 100.0
-    available = _record_unit_pairs(record)
-    preserved = sum(1 for pair in detected if pair in available)
-    return 100.0 * preserved / len(detected)
+    return _score(_unit_fidelity, source, record)
+
+
+def _unit_fidelity(src: SourceIndex, rec: RecordIndex) -> tuple[int, int]:
+    detected = detect_unit_pairs(src.text)
+    available = _record_unit_pairs(rec.record)
+    return sum(1 for pair in detected if pair in available), len(detected)
 
 
 def field_accuracy(source: SourceDocument, record: BmrRecord) -> float:
     """A source form line is captured when a form field matches its label and,
     when the line had a concrete value, the same normalized value. A blank in
     the source corresponds to a null field value."""
-    return _field_accuracy(SourceIndex(source), RecordIndex(record))
+    return _score(_field_accuracy, source, record)
 
 
-def _field_accuracy(src: SourceIndex, rec: RecordIndex) -> float:
+def _field_accuracy(src: SourceIndex, rec: RecordIndex) -> tuple[int, int]:
     detected = src.blocks[1]
-    if not detected:
-        return 100.0
     # Canonical values by label key; None stands for a blank.
     text_key = rec.tokenizer.key
     values_by_label: dict[str, set[str | None]] = {}
@@ -700,54 +702,42 @@ def _field_accuracy(src: SourceIndex, rec: RecordIndex) -> float:
         for line in detected
         if _canon_value(line.value) in values_by_label.get(text_key(line.label), ())
     )
-    return 100.0 * captured / len(detected)
-
-
-# --------------------------------------------------------------------------
-# Table / image preservation
+    return captured, len(detected)
 
 
 def table_preservation(source: SourceDocument, record: BmrRecord) -> float:
     """A source table is preserved when all of its header cells appear in some
     table content's headers."""
-    return _table_preservation(SourceIndex(source), RecordIndex(record))
+    return _score(_table_preservation, source, record)
 
 
-def _table_preservation(src: SourceIndex, rec: RecordIndex) -> float:
+def _table_preservation(src: SourceIndex, rec: RecordIndex) -> tuple[int, int]:
     source_tables = src.blocks[2]
-    if not source_tables:
-        return 100.0
     text_key = rec.tokenizer.key
     record_headers = [
         {text_key(h) for h in c.headers or []}
         for c in _iter_contents(rec.record)
         if c.kind == "table"
     ]
-    preserved = 0
-    for headers in source_tables:
-        want = {text_key(h) for h in headers}
-        if any(want <= got for got in record_headers):
-            preserved += 1
-    return 100.0 * preserved / len(source_tables)
+    wanted = ({text_key(h) for h in headers} for headers in source_tables)
+    return sum(any(map(want.issubset, record_headers)) for want in wanted), len(source_tables)
 
 
 def image_preservation(source: SourceDocument, record: BmrRecord) -> float:
     """An image marker is preserved when its inner text appears in some image
     content (whitespace-collapsed comparison)."""
-    markers, _ = scan_image_markers(source.text)
-    if not markers:
-        return 100.0
+    return _score(_image_preservation, source, record)
+
+
+def _image_preservation(src: SourceIndex, rec: RecordIndex) -> tuple[int, int]:
+    markers, _ = scan_image_markers(src.text)
     image_texts = [
         " ".join(c.text.split()).lower()
-        for c in _iter_contents(record)
+        for c in _iter_contents(rec.record)
         if c.kind == "image"
     ]
-    preserved = 0
-    for marker in markers:
-        needle = " ".join(marker.inner_text.split()).lower()
-        if any(needle in text for text in image_texts):
-            preserved += 1
-    return 100.0 * preserved / len(markers)
+    needles = (" ".join(m.inner_text.split()).lower() for m in markers)
+    return sum(any(needle in text for text in image_texts) for needle in needles), len(markers)
 
 
 def unique_step_types(record: BmrRecord) -> int:
@@ -762,50 +752,71 @@ def unique_step_types(record: BmrRecord) -> int:
 
 
 # --------------------------------------------------------------------------
-# Composite score and report
+# The metrics table, composite score and report
 
 
-@dataclass
-class WeightVector:
-    """Non-negative weight per percentage metric; defaults are equal."""
+class Metric(NamedTuple):
+    """A percentage metric: its report key, its label and section in the
+    rendered table, its tally core, whether the composite weighs it, and
+    whether its core reads the word indexes."""
 
-    crude_word_coverage: float = 1.0
-    context_aware_coverage: float = 1.0
-    reference_coverage: float = 1.0
-    hierarchy_preservation: float = 1.0
-    sequence_preservation: float = 1.0
-    cross_reference_integrity: float = 1.0
-    calculation_fidelity: float = 1.0
-    conditional_logic_fidelity: float = 1.0
-    unit_fidelity: float = 1.0
-    field_accuracy: float = 1.0
+    name: str
+    label: str
+    section: str
+    core: Core
+    weighed: bool = True
+    words: bool = False
 
-    def __post_init__(self) -> None:
-        values = [getattr(self, name) for name in METRIC_NAMES]
-        if any(w < 0 for w in values):
-            raise ValueError("weights must be non-negative")
-        if sum(values) <= 0:
-            raise ValueError("weights must sum to a positive value")
 
+_STRUCTURAL = "Structural Metrics"
+_FIDELITY = "Content Fidelity Metrics"
+_COVERAGE = "Coverage Metrics"
+
+# Every percentage metric, in report order.
+METRICS = (
+    Metric("crude_word_coverage", "Crude Word Coverage", _COVERAGE, _crude_word_coverage,
+           words=True),
+    Metric("context_aware_coverage", "Context-Aware Coverage", _COVERAGE,
+           _context_aware_coverage, words=True),
+    Metric("reference_coverage", "Reference Coverage", _COVERAGE, _reference_coverage),
+    Metric("hierarchy_preservation", "Hierarchy Preservation", _STRUCTURAL,
+           _hierarchy_preservation),
+    Metric("sequence_preservation", "Sequence Preservation", _STRUCTURAL,
+           _sequence_preservation),
+    Metric("cross_reference_integrity", "Cross-Reference Integrity", _STRUCTURAL,
+           _cross_reference_integrity),
+    Metric("calculation_fidelity", "Calculation Fidelity", _FIDELITY, _calculation_fidelity),
+    Metric("conditional_logic_fidelity", "Conditional Logic", _FIDELITY,
+           _conditional_logic_fidelity, words=True),
+    Metric("unit_fidelity", "Unit Fidelity", _FIDELITY, _unit_fidelity),
+    Metric("field_accuracy", "Field-Level Accuracy", _FIDELITY, _field_accuracy),
+    Metric("table_preservation", "Table Preservation", _FIDELITY, _table_preservation,
+           weighed=False),
+    Metric("image_preservation", "Image Preservation", _FIDELITY, _image_preservation,
+           weighed=False),
+)
 
 # The ten percentage metrics the composite weighs, in report order.
-METRIC_NAMES = tuple(f.name for f in fields(WeightVector))
+METRIC_NAMES = tuple(m.name for m in METRICS if m.weighed)
 
 
 @dataclass
-class MetricsReport:
-    crude_word_coverage: float = 100.0
-    context_aware_coverage: float = 100.0
-    reference_coverage: float = 100.0
-    hierarchy_preservation: float = 100.0
-    sequence_preservation: float = 100.0
-    cross_reference_integrity: float = 100.0
-    calculation_fidelity: float = 100.0
-    conditional_logic_fidelity: float = 100.0
-    unit_fidelity: float = 100.0
-    field_accuracy: float = 100.0
-    table_preservation: float = 100.0
-    image_preservation: float = 100.0
+class WeightVector(make_dataclass("Weights", [(name, float, 1.0) for name in METRIC_NAMES])):
+    """Non-negative finite weight per weighed metric; defaults are equal."""
+
+    def __post_init__(self) -> None:
+        values = astuple(self)
+        # NaN fails every comparison.
+        if not all(0 <= w < math.inf for w in values):
+            raise ValueError("weights must be finite and non-negative")
+        # A weighted score is at most 100 times its weight, so no product and
+        # no sum of the composite can overflow.
+        if not 0 < 100 * sum(values) < math.inf:
+            raise ValueError("weights must sum to a positive value, 100 times of which is finite")
+
+
+@dataclass
+class MetricsReport(make_dataclass("Scores", [(m.name, float, 100.0) for m in METRICS])):
     unique_step_types: int = 0
     processing_seconds: float = 0.0
     composite: float = 100.0
@@ -828,20 +839,12 @@ def status_for(score: float) -> str:
 
 
 def composite_score(report: MetricsReport, weights: WeightVector | None = None) -> float:
-    """Weighted arithmetic mean of the ten percentage metrics."""
+    """Weighted arithmetic mean of the ten percentage metrics. Rounding can
+    carry a mean of scores of 100 past 100, so it is capped there."""
     weights = weights or WeightVector()
     total = sum(getattr(weights, name) for name in METRIC_NAMES)
-    return sum(getattr(report, name) * getattr(weights, name) for name in METRIC_NAMES) / total
-
-
-def _word_scores(source: SourceDocument, record: BmrRecord, tokenizer: _Tokenizer) -> dict:
-    """The word metrics, on word indexes that die on return, before the blob and blocks exist."""
-    src, rec = SourceIndex(source, tokenizer), RecordIndex(record, tokenizer=tokenizer)
-    return {
-        "crude_word_coverage": _crude_word_coverage(src, rec),
-        "context_aware_coverage": _context_aware_coverage(src, rec),
-        "conditional_logic_fidelity": _conditional_logic_fidelity(src, rec),
-    }
+    weighted = sum(getattr(report, name) * getattr(weights, name) for name in METRIC_NAMES)
+    return min(weighted / total, 100.0)
 
 
 def compute_metrics(
@@ -852,59 +855,20 @@ def compute_metrics(
     processing_seconds: float = 0.0,
 ) -> MetricsReport:
     tokenizer = _Tokenizer()
-    src, rec = SourceIndex(source, tokenizer), RecordIndex(record, refs, tokenizer)
+    scores: dict[str, float] = {}
+    # The word metrics run first, each group on its own index pair: rebinding
+    # the pair frees the word indexes before the blob and the blocks are built.
+    for words in (True, False):
+        src, rec = SourceIndex(source, tokenizer), RecordIndex(record, refs, tokenizer)
+        scores.update({m.name: _percent(*m.core(src, rec)) for m in METRICS if m.words is words})
     report = MetricsReport(
-        **_word_scores(source, record, tokenizer),
-        reference_coverage=_reference_coverage(src, rec),
-        hierarchy_preservation=_hierarchy_preservation(rec),
-        sequence_preservation=sequence_preservation(source, record),
-        cross_reference_integrity=_cross_reference_integrity(rec),
-        calculation_fidelity=_calculation_fidelity(src, rec),
-        unit_fidelity=unit_fidelity(source, record),
-        field_accuracy=_field_accuracy(src, rec),
-        table_preservation=_table_preservation(src, rec),
-        image_preservation=image_preservation(source, record),
-        unique_step_types=unique_step_types(record),
+        **scores, unique_step_types=unique_step_types(record),
         processing_seconds=processing_seconds,
     )
     report.composite = composite_score(report, weights)
-    report.statuses = {
-        name: status_for(getattr(report, name))
-        for name in METRIC_NAMES + ("table_preservation", "image_preservation")
-    }
+    report.statuses = {m.name: status_for(scores[m.name]) for m in METRICS}
     report.statuses["composite"] = status_for(report.composite)
     return report
-
-
-_TABLE_LAYOUT = (
-    (
-        "Structural Metrics",
-        (
-            ("Hierarchy Preservation", "hierarchy_preservation"),
-            ("Sequence Preservation", "sequence_preservation"),
-            ("Cross-Reference Integrity", "cross_reference_integrity"),
-        ),
-    ),
-    (
-        "Content Fidelity Metrics",
-        (
-            ("Calculation Fidelity", "calculation_fidelity"),
-            ("Conditional Logic", "conditional_logic_fidelity"),
-            ("Unit Fidelity", "unit_fidelity"),
-            ("Field-Level Accuracy", "field_accuracy"),
-            ("Table Preservation", "table_preservation"),
-            ("Image Preservation", "image_preservation"),
-        ),
-    ),
-    (
-        "Coverage Metrics",
-        (
-            ("Crude Word Coverage", "crude_word_coverage"),
-            ("Context-Aware Coverage", "context_aware_coverage"),
-            ("Reference Coverage", "reference_coverage"),
-        ),
-    ),
-)
 
 
 def render_metrics_table(report: MetricsReport) -> str:
@@ -912,22 +876,19 @@ def render_metrics_table(report: MetricsReport) -> str:
     name_width = 34
     lines = [f"{'Metric Category':<{name_width}} {'Score':>10}  Status"]
     lines.append("-" * (name_width + 20))
-    for category, rows in _TABLE_LAYOUT:
-        lines.append(category)
-        for label, attr in rows:
-            value = getattr(report, attr)
-            status = report.statuses.get(attr, "")
-            lines.append(f"  {label:<{name_width - 2}} {value:>9.2f}%  {status}")
-    lines.append("Performance Metrics")
-    lines.append(
-        f"  {'Processing Time':<{name_width - 2}} {report.processing_seconds:>8.1f} s  -"
-    )
-    lines.append(
-        f"  {'Unique Step Types Identified':<{name_width - 2}} {report.unique_step_types:>10}  -"
-    )
-    lines.append("-" * (name_width + 20))
-    lines.append(
+    for section in (_STRUCTURAL, _FIDELITY, _COVERAGE):
+        lines.append(section)
+        for m in METRICS:
+            if m.section == section:
+                value = getattr(report, m.name)
+                status = report.statuses.get(m.name, "")
+                lines.append(f"  {m.label:<{name_width - 2}} {value:>9.2f}%  {status}")
+    lines += [
+        "Performance Metrics",
+        f"  {'Processing Time':<{name_width - 2}} {report.processing_seconds:>8.1f} s  -",
+        f"  {'Unique Step Types Identified':<{name_width - 2}} {report.unique_step_types:>10}  -",
+        "-" * (name_width + 20),
         f"{'Composite Confidence Score':<{name_width}} {report.composite:>9.2f}%  "
-        f"{report.statuses.get('composite', '')}"
-    )
+        f"{report.statuses.get('composite', '')}",
+    ]
     return "\n".join(lines)

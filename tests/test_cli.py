@@ -514,13 +514,18 @@ def test_config_file_that_is_not_an_object_is_bad_configuration(tmp_path, capsys
         ("process", [], {"backend": "grpc"}),
         ("chunk", ["--max-tokens", "0"], None),
         ("chunk", [], {"hard_split_threshold": 0}),
+        ("process", ["--weights", '{"unit_fidelity": NaN}'], None),
+        ("process", ["--weights", '{"unit_fidelity": 1e307}'], None),
+        ("process", [], {"weights": {"unit_fidelity": float("inf")}}),
+        ("process", [], {"weights": {"unit_fidelity": -float("inf")}}),
     ],
     ids=[
         "workers", "max-tokens", "max-attempts", "reprocess-threshold",
         "config-workers", "config-reprocess-threshold", "config-timeout",
         "config-transport-retries", "relative-endpoint", "endpoint-port",
         "config-endpoint-scheme", "config-backend", "chunk-max-tokens",
-        "chunk-config-hard-split",
+        "chunk-config-hard-split", "weights-nan", "weights-overflow", "config-weights-infinity",
+        "config-weights-negative-infinity",
     ],
 )
 def test_bad_configuration_exits_2_before_reading_input(

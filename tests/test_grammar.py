@@ -31,6 +31,7 @@ from bmrkit.metrics import (
     SourceIndex,
     _calculation_fidelity,
     _field_accuracy,
+    _percent,
     _table_preservation,
     calculation_fidelity,
     detect_step_headings,
@@ -488,6 +489,6 @@ def test_shared_walk_matches_the_line_loops_it_replaced(soup):
     # drops all it read there, having no step to attach it to, so whatever the
     # walk counts and the loops did not goes uncaptured.
     for core in (_calculation_fidelity, _field_accuracy, _table_preservation):
-        assert core(new, rec) >= core(folded_loops, rec)
+        assert _percent(*core(new, rec)) >= _percent(*core(folded_loops, rec))
         if record.steps:
-            assert core(new, rec) >= core(raw_loops, rec)
+            assert _percent(*core(new, rec)) >= _percent(*core(raw_loops, rec))

@@ -557,9 +557,24 @@ def test_composite_custom_weights():
     assert composite_score(report, weights) == 100.0
 
 
+def test_composite_of_scores_of_100_is_100_under_any_weights():
+    """Unequal weights round the weighted mean of scores of 100 to
+    100.00000000000001, which the status bands refuse."""
+    weights = WeightVector(crude_word_coverage=0.1, unit_fidelity=0.1)
+    assert composite_score(MetricsReport(), weights) == 100.0
+    source = SourceDocument.from_text("Blend the powder slowly.")
+    report = compute_metrics(source, record_with_text("Blend the powder slowly."), weights=weights)
+    assert report.composite == 100.0
+    assert report.statuses["composite"] == "Excellent"
+
+
 def test_weight_vector_validation():
     with pytest.raises(ValueError):
         WeightVector(unit_fidelity=-1.0)
+    # 1e307 is finite, but 100 times the sum of the weights is not.
+    for weight in (float("nan"), float("inf"), -float("inf"), 1e307):
+        with pytest.raises(ValueError):
+            WeightVector(unit_fidelity=weight)
     with pytest.raises(ValueError):
         WeightVector(**{name: 0.0 for name in (
             "crude_word_coverage", "context_aware_coverage", "reference_coverage",

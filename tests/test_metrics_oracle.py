@@ -8,19 +8,23 @@ scores.
 
 from __future__ import annotations
 
+import inspect
 import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bmrkit.metrics
 from bmrkit.ingest import SourceDocument
 from bmrkit.metrics import (
     _NUMBER_DOT_RE,
+    METRICS,
     RecordIndex,
     SourceIndex,
     _content_strings,
     _iter_contents,
     _lis_length,
+    _percent,
     compute_metrics,
     conditional_logic_fidelity,
     context_aware_coverage,
@@ -456,3 +460,63 @@ def test_record_token_pass_matches_per_string_tokenization(record):
     assert [(kind, set(canon)) for kind, canon in units] == expected
     for (_, canon), (_, text) in zip(units, unit_texts):
         assert_distinct_first_use(canon, text)
+
+
+# --------------------------------------------------------------------------
+# Every metric's tally
+#
+# Lines and units that the word-and-form pairs above seldom make: an image
+# marker, a pipe table, a calculation block, a reference and a conditional
+# sentence, each with record units that may preserve it.
+
+BLOCK_LINES = (
+    "[Image Text: blend tank]",
+    "| Target weight | Blend speed |\n|---|---|",
+    "Formula: weight x 2\nVariables:\n- weight: the weight\n",
+    "See Step 2 and Figure 1.",
+    "Stop the mix if the valve leaks.",
+)
+
+
+def calculation_unit(formula: str) -> dict:
+    variable = {"name": "weight", "description": "the weight", "value": 50.0, "unit": "kg"}
+    calculation = {"formula": formula, "variables": [variable]}
+    return {"type": "calculation", "text": "", "calculation": calculation}
+
+
+block_sources = st.tuples(sources, st.lists(st.sampled_from(BLOCK_LINES), max_size=4)).map(
+    lambda pair: SourceDocument.from_text("\n".join([pair[0].text, *pair[1]]))
+)
+block_contents = st.one_of(
+    contents,
+    st.sampled_from(("weight x 2", "weight × 2", "weight")).map(calculation_unit),
+    st.sampled_from((["Target weight", "Blend speed"], ["Target weight"])).map(
+        lambda headers: table_unit(headers, [])
+    ),
+    st.sampled_from(("blend tank", "Blend  Tank")).map(lambda text: text_unit("image", text)),
+    st.sampled_from(("see  Step 2 first", "stop the mix if the valve leaks")).map(
+        lambda text: text_unit("warning", text)
+    ),
+)
+block_records = st.lists(
+    st.tuples(st.sampled_from(STEP_NAMES), st.lists(block_contents, max_size=4)), max_size=6
+).map(build_record)
+
+
+def public_score(name: str, source: SourceDocument, record: BmrRecord) -> float:
+    """The public function of a metric, called with the arguments it takes."""
+    function = getattr(bmrkit.metrics, name)
+    arguments = {"source": source, "record": record, "refs": []}
+    return function(**{key: arguments[key] for key in inspect.signature(function).parameters})
+
+
+@settings(max_examples=200, deadline=None)
+@given(source=block_sources, record=block_records)
+def test_every_metric_scores_its_tally(source, record):
+    report = compute_metrics(source, record)
+    for metric in METRICS:
+        preserved, detected = metric.core(SourceIndex(source), RecordIndex(record))
+        assert 0 <= preserved <= detected, metric.name
+        score = _percent(preserved, detected)
+        assert score == public_score(metric.name, source, record), metric.name
+        assert score == getattr(report, metric.name), metric.name
