@@ -2,30 +2,34 @@
 
 ``process`` runs the full pipeline (load, chunk, parallel extraction, merge,
 validation layers, metrics) and writes the record, validation report, metrics
-report, and run summary. Exit codes: 0 when validation passes, 1 when
-error-severity issues exist, 2 on pipeline failure, bad configuration or an
-output that cannot be written.
-Configuration comes from an optional JSON file; any key can be overridden by
-the flag of the same name, and flags win.
+report, and run summary; it and ``score`` tally the word metrics in a forked
+child where ``os.fork`` exists and the process has one thread, else in-process,
+with the same bytes. Exit codes: 0 when validation passes, 1 when error-severity
+issues exist, 2 on pipeline failure, bad configuration or an unwritable output.
+Configuration comes from an optional JSON file; the flag of a key's name wins.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import logging
+import os
 import sys
+import threading
 import time
 from dataclasses import asdict, dataclass, field as dc_field, fields as dc_fields, replace
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, Iterator
 
 from .chunker import ChunkingConfig, WordTokenizer, chunk_text_by_tokens
 from .extraction import ExtractionConfig, HttpChatBackend, parse_endpoint, run_parallel
 from .ingest import DecodeError, ReadError, load_markdown
 from .issues import LAYER_STRUCTURAL, ValidationIssue, issue_error
 from .merge import EmptyMergeError, merge_chunk_results, resolve_cross_references
-from .metrics import WeightVector, compute_metrics, detect_step_headings, render_metrics_table
+from .metrics import WeightVector, detect_step_headings, metrics_report, render_metrics_table
+from .metrics import tally_metrics
 from .mock_backend import MockBackend
 from .schema import serialize_record, write_json
 from .validation import NO_STEPS_EXTRACTED, ValidationReport, read_record_text, validate_record
@@ -144,6 +148,35 @@ def _write_json(path: str | None, payload: dict | list) -> None:
         raise WriteError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+@contextlib.contextmanager
+def _forked(fn: Callable[[], Any]) -> Iterator[Callable[[], Any]]:
+    """Start ``fn`` in a forked child; yield a function that returns its result,
+    sent as JSON through a pipe, or ``fn()`` run here when there is no safe fork
+    (no ``os.fork``, a second thread alive, a failed fork) or no full result."""
+    pid, (read_fd, write_fd) = None, os.pipe()
+    with contextlib.suppress(AttributeError, OSError):  # no os.fork, or a failed fork
+        pid = os.fork() if threading.active_count() == 1 else None
+    if pid == 0:
+        try:
+            os.write(write_fd, json.dumps(fn()).encode())
+        finally:
+            os._exit(0)  # skips the parent's exit handlers and stdio buffers
+    os.close(write_fd)
+
+    def result() -> Any:
+        with contextlib.suppress(ValueError):  # no child, or one that ended early
+            return json.loads(pipe.read())
+        return fn()
+
+    with open(read_fd, encoding="utf-8") as pipe:
+        try:
+            yield result
+        finally:
+            if pid:  # a child whose pipe was read is exiting; else it is stopped
+                os.kill(pid, 9)  # SIGKILL
+                os.waitpid(pid, 0)
+
+
 def cmd_process(input_path: str, cfg: PipelineConfig) -> int:
     started = time.perf_counter()
     try:
@@ -181,19 +214,18 @@ def cmd_process(input_path: str, cfg: PipelineConfig) -> int:
         return EXIT_PIPELINE_FAILURE
     record, refs = resolve_cross_references(record)
 
-    issues = merge_issues + validate_record(record, refs=refs).issues
-    if not record.steps and (headings := detect_step_headings(doc.text)):
-        message = f"the source has {len(headings)} step headings but the record has no steps"
-        issues.append(issue_error(LAYER_STRUCTURAL, "steps", NO_STEPS_EXTRACTED, message))
-    report = ValidationReport(issues=issues)
+    with _forked(lambda: tally_metrics(doc, record, refs, words=True)) as word_tallies:
+        issues = merge_issues + validate_record(record, refs=refs).issues
+        if not record.steps and (headings := detect_step_headings(doc.text)):
+            message = f"the source has {len(headings)} step headings but the record has no steps"
+            issues.append(issue_error(LAYER_STRUCTURAL, "steps", NO_STEPS_EXTRACTED, message))
+        report = ValidationReport(issues=issues)
 
-    total_seconds = time.perf_counter() - started
-    metrics = compute_metrics(
-        doc, record, refs=refs, weights=cfg.weights, processing_seconds=total_seconds
-    )
-
-    _write_json(cfg.out, serialize_record(record))
-    _write_json(cfg.report_out, report.to_json())
+        total_seconds = time.perf_counter() - started
+        _write_json(cfg.out, serialize_record(record))
+        _write_json(cfg.report_out, report.to_json())
+        tallies = {**tally_metrics(doc, record, refs, words=False), **word_tallies()}
+    metrics = metrics_report(tallies, record, cfg.weights, total_seconds)
     _write_json(cfg.metrics_out, metrics.to_json())
 
     summary = RunSummary(
@@ -264,7 +296,9 @@ def cmd_score(source_path: str, record_path: str, cfg: PipelineConfig) -> int:
         _print_issues(parsed, "  ")
         return EXIT_PIPELINE_FAILURE
     record, refs = resolve_cross_references(parsed)
-    metrics = compute_metrics(doc, record, refs=refs, weights=cfg.weights)
+    with _forked(lambda: tally_metrics(doc, record, refs, words=True)) as word_tallies:
+        tallies = {**tally_metrics(doc, record, refs, words=False), **word_tallies()}
+    metrics = metrics_report(tallies, record, cfg.weights)
     _write_json(cfg.metrics_out, metrics.to_json())
     print(render_metrics_table(metrics))
     return EXIT_OK

@@ -22,13 +22,14 @@ keywords, no text), and the line blocks of ``scan_source_blocks``; a
 ``RecordIndex`` holds the record's prose strings and word set, each content
 unit's distinct canonical words as a tuple, and the parent links that two
 structural metrics share. Each part is built on first use, and each text is
-tokenized once, through a memo that one ``compute_metrics`` call owns. The
-word indexes live only while the three word metrics run: their pair of indexes
-dies before a second pair builds the record blob and the source blocks. The
-60% sentence-coverage rule runs on an inverted word-to-unit index with exact
-size and prefix filters: only units large enough and holding one of a
-sentence's rarest words are checked in full. Form fields and step names are
-matched by key lookup rather than by scanning the record.
+tokenized once, through a memo that one ``compute_metrics`` call owns. Each
+``tally_metrics`` call tallies one ``Metric.words`` group on its own index pair,
+the word group's first, so it dies before a second builds the record blob and
+the source blocks; ``process`` and ``score`` tally the word group in a forked
+child where ``os.fork`` exists and the process has one thread. The 60% rule
+runs on an inverted word-to-unit index with exact size and prefix filters:
+only units large enough and holding one of a sentence's rarest words are
+checked in full. Form fields and step names are matched by key lookup.
 """
 
 from __future__ import annotations
@@ -847,20 +848,22 @@ def composite_score(report: MetricsReport, weights: WeightVector | None = None) 
     return min(weighted / total, 100.0)
 
 
-def compute_metrics(
-    source: SourceDocument,
-    record: BmrRecord,
-    refs: list[CrossReference] | None = None,
-    weights: WeightVector | None = None,
-    processing_seconds: float = 0.0,
+def tally_metrics(
+    source: SourceDocument, record: BmrRecord, refs: list[CrossReference] | None = None,
+    *, words: bool, tokenizer: _Tokenizer | None = None,
+) -> dict[str, tuple[int, int]]:
+    """{name: (preserved, detected)} of the metrics whose ``words`` flag is ``words``."""
+    src = SourceIndex(source, tokenizer)
+    rec = RecordIndex(record, refs, src.tokenizer)
+    return {m.name: m.core(src, rec) for m in METRICS if m.words is words}
+
+
+def metrics_report(
+    tallies: dict[str, Iterable[int]], record: BmrRecord,
+    weights: WeightVector | None = None, processing_seconds: float = 0.0,
 ) -> MetricsReport:
-    tokenizer = _Tokenizer()
-    scores: dict[str, float] = {}
-    # The word metrics run first, each group on its own index pair: rebinding
-    # the pair frees the word indexes before the blob and the blocks are built.
-    for words in (True, False):
-        src, rec = SourceIndex(source, tokenizer), RecordIndex(record, refs, tokenizer)
-        scores.update({m.name: _percent(*m.core(src, rec)) for m in METRICS if m.words is words})
+    """The report of every metric's (preserved, detected) tally."""
+    scores = {m.name: _percent(*tallies[m.name]) for m in METRICS}
     report = MetricsReport(
         **scores, unique_step_types=unique_step_types(record),
         processing_seconds=processing_seconds,
@@ -869,6 +872,19 @@ def compute_metrics(
     report.statuses = {m.name: status_for(scores[m.name]) for m in METRICS}
     report.statuses["composite"] = status_for(report.composite)
     return report
+
+
+def compute_metrics(
+    source: SourceDocument,
+    record: BmrRecord,
+    refs: list[CrossReference] | None = None,
+    weights: WeightVector | None = None,
+    processing_seconds: float = 0.0,
+) -> MetricsReport:
+    tokenizer = _Tokenizer()
+    tallies = tally_metrics(source, record, refs, words=True, tokenizer=tokenizer)
+    tallies.update(tally_metrics(source, record, refs, words=False, tokenizer=tokenizer))
+    return metrics_report(tallies, record, weights, processing_seconds)
 
 
 def render_metrics_table(report: MetricsReport) -> str:

@@ -3,8 +3,11 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import re
 import sys
+import threading
+import time
 import tracemalloc
 from types import SimpleNamespace
 
@@ -12,10 +15,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import bmrkit.cli as cli
+import bmrkit.metrics as metrics
 import bmrkit.validation as validation
 from bmrkit.chunker import Chunk
 from bmrkit.cli import main
 from bmrkit.extraction import build_prompt
+from bmrkit.ingest import load_markdown
+from bmrkit.merge import resolve_cross_references
+from bmrkit.metrics import compute_metrics
 from bmrkit.mock_backend import MockBackend
 from bmrkit.mock_backend import extract_markdown_record
 from bmrkit.schema import parse_record, serialize_record, write_json
@@ -771,3 +778,141 @@ def test_process_keeps_undeclared_members_of_every_level(tmp_path, monkeypatch):
     assert record["x_top"] == {"kept": [1, "a"]}
     assert record["header"]["x_head"] == "header note"
     assert record["steps"][0]["x_step"] == 3
+
+
+# --------------------------------------------------------------------------
+# Scoring on two processes: a forked child tallies the word metrics
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _kept_resolutions(monkeypatch):
+    """Every (record, refs) pair the command resolves, in the parent."""
+    kept = []
+
+    def keeping(record):
+        kept.append(resolve_cross_references(record))
+        return kept[-1]
+
+    monkeypatch.setattr(cli, "resolve_cross_references", keeping)
+    return kept
+
+
+def _one_process_metrics(source, record, refs) -> dict:
+    payload = compute_metrics(load_markdown(source), record, refs=refs).to_json()
+    del payload["processing_seconds"]
+    return payload
+
+
+def _written_metrics(path) -> dict:
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    del payload["processing_seconds"]
+    return payload
+
+
+def _process_and_score(tmp_path, source, *flags) -> tuple[dict, dict]:
+    record = tmp_path / "record.json"
+    argv = ["process", source, "--mock", *flags, "--out", record,
+            "--report-out", tmp_path / "v.json", "--metrics-out", tmp_path / "m.json"]
+    assert run(argv) in (0, 1)
+    argv = ["score", source, record, "--metrics-out", tmp_path / "score.json"]
+    assert run(argv) == 0
+    return _written_metrics(tmp_path / "m.json"), _written_metrics(tmp_path / "score.json")
+
+
+@pytest.mark.parametrize("max_tokens", [3000, 200])
+@pytest.mark.parametrize("name", ["sample_bmr.md", "generated_bmr.md", "period_free_bmr.md"])
+def test_split_scoring_writes_the_metrics_of_one_process(tmp_path, monkeypatch, name, max_tokens):
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    kept = _kept_resolutions(monkeypatch)
+    source = DATA_DIR / name
+    processed, scored = _process_and_score(tmp_path, source, "--max-tokens", max_tokens)
+    assert len(forks) == 2
+    assert processed == _one_process_metrics(source, *kept[0])
+    assert scored == _one_process_metrics(source, *kept[1])
+    _no_child_left()
+
+
+# The golden sample's locked report, which has no processing_seconds.
+_SAMPLE_METRICS = json.loads((DATA_DIR / "sample_bmr.metrics.json").read_text(encoding="utf-8"))
+
+
+def _failing_fork():
+    raise OSError("fork refused")
+
+
+def _tallies_only_in(pid):
+    """tally_metrics, raising in any process but ``pid``."""
+    def tally(*args, **kwargs):
+        if os.getpid() != pid:
+            raise RuntimeError("tallied in the child")
+        return metrics.tally_metrics(*args, **kwargs)
+    return tally
+
+
+@pytest.mark.parametrize("case", ["fork-fails", "no-fork", "child-ends-early"])
+def test_split_scoring_falls_back_to_one_process(tmp_path, monkeypatch, case):
+    if case == "fork-fails":
+        monkeypatch.setattr(os, "fork", _failing_fork)
+    elif case == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(cli, "tally_metrics", _tallies_only_in(os.getpid()))
+    kept = _kept_resolutions(monkeypatch)
+    processed, scored = _process_and_score(tmp_path, SAMPLE_BMR)
+    assert processed == _one_process_metrics(SAMPLE_BMR, *kept[0])
+    assert scored == _one_process_metrics(SAMPLE_BMR, *kept[1])
+    assert processed == _SAMPLE_METRICS
+    _no_child_left()
+
+
+def test_no_fork_while_another_thread_is_alive(tmp_path, monkeypatch):
+    forks = []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or _failing_fork())
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(30,))
+    thread.start()
+    try:
+        processed, scored = _process_and_score(tmp_path, SAMPLE_BMR)
+    finally:
+        release.set()
+        thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert forks == []
+    assert processed == scored == _SAMPLE_METRICS
+
+
+def test_child_is_reaped_when_the_record_cannot_be_written(tmp_path, capsys):
+    argv = ["process", SAMPLE_BMR, "--mock", "--out", tmp_path,
+            "--report-out", tmp_path / "v.json", "--metrics-out", tmp_path / "m.json"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path}: Is a directory\n"
+    _no_child_left()
+
+
+def test_busy_child_is_killed_when_validation_raises(tmp_path, monkeypatch):
+    parent = os.getpid()
+
+    def slow_in_child(*args, **kwargs):
+        if os.getpid() != parent:
+            time.sleep(20)
+        return metrics.tally_metrics(*args, **kwargs)
+
+    def broken(record, refs=None):
+        raise RuntimeError("validator fault")
+
+    monkeypatch.setattr(cli, "tally_metrics", slow_in_child)
+    monkeypatch.setattr(cli, "validate_record", broken)
+    argv = ["process", SAMPLE_BMR, "--mock", "--out", tmp_path / "r.json",
+            "--report-out", tmp_path / "v.json", "--metrics-out", tmp_path / "m.json"]
+    started = time.perf_counter()
+    with pytest.raises(RuntimeError, match="validator fault"):
+        run(argv)
+    assert time.perf_counter() - started < 10
+    assert not (tmp_path / "r.json").exists()
+    _no_child_left()
